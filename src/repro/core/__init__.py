@@ -3,12 +3,8 @@
 Since the policy/backend split, ``repro.core`` holds the search
 machinery only — traversal policies, evaluators, radius schedules,
 lattice tools. The detector classes built on top of them live in
-:mod:`repro.detectors`; ``SphereDecoder`` and
-``PartitionedSphereDecoder`` are still importable from here through a
-deprecation shim.
+:mod:`repro.detectors`.
 """
-
-import warnings
 
 from repro.core.gemm import ChannelKernel, GemmEvaluator
 from repro.core.nodepool import NodePool, extend_paths
@@ -36,17 +32,6 @@ from repro.core.traversal import (
 )
 from repro.core.lattice import lll_reduce, LLLResult, orthogonality_defect
 
-#: Detector classes that used to live here; resolved lazily with a
-#: DeprecationWarning so ``from repro.core import SphereDecoder`` keeps
-#: working without making core import the detector layer eagerly.
-_MOVED_DETECTORS = {
-    "SphereDecoder": ("repro.detectors.sphere", "SphereDecoder"),
-    "PartitionedSphereDecoder": (
-        "repro.detectors.partitioned",
-        "PartitionedSphereDecoder",
-    ),
-}
-
 __all__ = [
     "GemmEvaluator",
     "ChannelKernel",
@@ -72,27 +57,8 @@ __all__ = [
     "ScalarGemvBackend",
     "FusedGemmBackend",
     "TraversalEngine",
-    "SphereDecoder",
-    "PartitionedSphereDecoder",
     "lll_reduce",
     "LLLResult",
     "orthogonality_defect",
 ]
 
-
-def __getattr__(name: str):
-    try:
-        module_name, attr = _MOVED_DETECTORS[name]
-    except KeyError:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        ) from None
-    warnings.warn(
-        f"repro.core.{name} moved to {module_name}.{attr}; "
-        "update the import (this shim will be removed)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    import importlib
-
-    return getattr(importlib.import_module(module_name), attr)

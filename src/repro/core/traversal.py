@@ -811,46 +811,6 @@ class FusedGemmBackend:
         return outcomes
 
 
-def build_engine(
-    engine: str,
-    constellation,
-    policy: "TraversalPolicy",
-    *,
-    radius_policy=None,
-    metric=None,
-    record_trace: bool = True,
-) -> "TraversalEngine":
-    """Construct a :class:`TraversalEngine` for the named ``engine``.
-
-    ``"numpy"`` builds the reference engine defined here;
-    ``"compiled"`` builds the fused-kernel
-    :class:`~repro.core.compiled.CompiledTraversalEngine` (imported
-    lazily so :mod:`repro.core.traversal` never depends on the optional
-    Numba machinery). Callers are expected to have resolved
-    availability already (:func:`repro.core.compiled.resolve_engine`);
-    passing ``"compiled"`` here always builds the compiled engine, which
-    runs interpreted when Numba is absent.
-    """
-    check_in(engine, "engine", ("numpy", "compiled"))
-    if engine == "compiled":
-        from repro.core.compiled import CompiledTraversalEngine
-
-        return CompiledTraversalEngine(
-            constellation,
-            policy,
-            radius_policy=radius_policy,
-            metric=metric,
-            record_trace=record_trace,
-        )
-    return TraversalEngine(
-        constellation,
-        policy,
-        radius_policy=radius_policy,
-        metric=metric,
-        record_trace=record_trace,
-    )
-
-
 class TraversalEngine:
     """One search policy bound to a constellation and radius schedule.
 

@@ -16,11 +16,10 @@ and ``kbest.*`` obs spans for free.
 
 from __future__ import annotations
 
-from repro.core.compiled import ENGINES
 from repro.core.traversal import KBestPolicy, TraversalPolicy
 from repro.detectors.engine import EngineDetector
 from repro.mimo.constellation import Constellation
-from repro.util.validation import check_in, check_positive_int
+from repro.util.validation import check_positive_int
 
 
 class KBestDecoder(EngineDetector):
@@ -55,15 +54,11 @@ class KBestDecoder(EngineDetector):
         k: int = 16,
         metric: str = "l2",
         record_trace: bool = True,
-        engine: str | None = None,
     ) -> None:
         self.constellation = constellation
         self.k = check_positive_int(k, "k")
         self.metric = metric
         self.record_trace = record_trace
-        self.engine = (
-            None if engine is None else check_in(engine, "engine", ENGINES)
-        )
         self._resolve_axes()
         self._qr = None
         self._channel = None

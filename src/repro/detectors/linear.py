@@ -12,7 +12,7 @@ import numpy as np
 
 from repro.detectors.base import DetectionResult, Detector
 from repro.mimo.constellation import Constellation
-from repro.util.validation import check_matrix, check_vector
+from repro.util.validation import check_finite, check_matrix, check_vector
 
 
 class _LinearDetector(Detector):
@@ -28,7 +28,7 @@ class _LinearDetector(Detector):
         raise NotImplementedError
 
     def prepare(self, channel: np.ndarray, noise_var: float = 0.0) -> None:
-        channel = check_matrix(channel, "channel")
+        channel = check_finite(check_matrix(channel, "channel"), "channel")
         if noise_var < 0:
             raise ValueError(f"noise_var must be non-negative, got {noise_var}")
         self._channel = channel
@@ -40,6 +40,7 @@ class _LinearDetector(Detector):
         received = check_vector(
             received, "received", length=self._channel.shape[0]
         )
+        check_finite(received, "received")
         estimate = self._filter @ received
         indices = self.constellation.nearest_indices(estimate)
         symbols = self.constellation.map_indices(indices)
@@ -65,6 +66,7 @@ class _LinearDetector(Detector):
                 f"received must have shape (F, {self._channel.shape[0]}), "
                 f"got {received.shape}"
             )
+        check_finite(received, "received")
         estimates = received @ self._filter.T  # (F, n_tx) in one GEMM
         indices = self.constellation.nearest_indices(estimates)
         symbols = self.constellation.points[indices]

@@ -25,7 +25,7 @@ from repro.core.lattice import lll_reduce
 from repro.detectors.base import DetectionResult, Detector
 from repro.mimo.constellation import Constellation
 from repro.mimo.preprocessing import real_decomposition
-from repro.util.validation import check_matrix, check_vector
+from repro.util.validation import check_finite, check_matrix, check_vector
 
 
 class LRZFDetector(Detector):
@@ -57,7 +57,7 @@ class LRZFDetector(Detector):
         return float(1.0 / np.sqrt(2.0 * (self.constellation.order - 1) / 3.0))
 
     def prepare(self, channel: np.ndarray, noise_var: float = 0.0) -> None:
-        channel = check_matrix(channel, "channel")
+        channel = check_finite(check_matrix(channel, "channel"), "channel")
         if channel.shape[0] < channel.shape[1]:
             raise ValueError("LR-ZF needs n_rx >= n_tx")
         self._channel = channel
@@ -74,6 +74,7 @@ class LRZFDetector(Detector):
         received = check_vector(
             received, "received", length=self._channel.shape[0]
         )
+        check_finite(received, "received")
         const = self.constellation
         side = int(round(np.sqrt(const.order)))
         scale = self._scale

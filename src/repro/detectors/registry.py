@@ -78,13 +78,6 @@ class DetectorEntry:
     lattice:
         Lattice representation searched (``"complex"``, ``"real"``,
         ``"real-reordered"``); see :mod:`repro.core.lattice`.
-    engines:
-        Traversal engines this kind can run on. Every kind supports the
-        ``"numpy"`` reference; kinds built on the shared
-        :class:`~repro.detectors.engine.EngineDetector` shell also
-        accept ``"compiled"`` (the fused-kernel
-        :class:`~repro.core.compiled.CompiledTraversalEngine`, selected
-        via the ``engine`` spec parameter / CLI ``--engine``).
     figures:
         Paper figures / experiments that use this configuration.
     """
@@ -98,7 +91,6 @@ class DetectorEntry:
     fpga_replayable: bool = False
     metric: str = "l2"
     lattice: str = "complex"
-    engines: tuple[str, ...] = ("numpy",)
     figures: tuple[str, ...] = ()
 
 
@@ -173,9 +165,7 @@ def spec(kind: str, constellation: Constellation, **params: Any) -> DetectorSpec
 # ----------------------------------------------------------------------
 
 
-def _make_sd(
-    constellation, *, alpha, max_nodes, child_ordering, record_trace, engine
-):
+def _make_sd(constellation, *, alpha, max_nodes, child_ordering, record_trace):
     return SphereDecoder(
         constellation,
         strategy="dfs",
@@ -183,75 +173,65 @@ def _make_sd(
         child_ordering=child_ordering,
         max_nodes=max_nodes,
         record_trace=record_trace,
-        engine=engine,
     )
 
 
-def _make_sd_bestfs(constellation, *, pool_size, max_nodes, record_trace, engine):
+def _make_sd_bestfs(constellation, *, pool_size, max_nodes, record_trace):
     return SphereDecoder(
         constellation,
         strategy="best-first",
         pool_size=pool_size,
         max_nodes=max_nodes,
         record_trace=record_trace,
-        engine=engine,
     )
 
 
-def _make_sd_dfs(constellation, *, child_ordering, max_nodes, record_trace, engine):
+def _make_sd_dfs(constellation, *, child_ordering, max_nodes, record_trace):
     return SphereDecoder(
         constellation,
         strategy="dfs",
         child_ordering=child_ordering,
         max_nodes=max_nodes,
         record_trace=record_trace,
-        engine=engine,
     )
 
 
-def _make_bfs(constellation, *, alpha, max_frontier, record_trace, engine):
+def _make_bfs(constellation, *, alpha, max_frontier, record_trace):
     return GemmBfsDecoder(
         constellation,
         radius_policy=NoiseScaledRadius(alpha=alpha),
         max_frontier=max_frontier,
         record_trace=record_trace,
-        engine=engine,
     )
 
 
-def _make_geosphere(constellation, *, max_nodes, record_trace, engine):
+def _make_geosphere(constellation, *, max_nodes, record_trace):
     return GeosphereDecoder(
-        constellation, max_nodes=max_nodes, record_trace=record_trace,
-        engine=engine,
+        constellation, max_nodes=max_nodes, record_trace=record_trace
     )
 
 
-def _make_kbest(constellation, *, k, record_trace, engine):
-    return KBestDecoder(
-        constellation, k=k, record_trace=record_trace, engine=engine
-    )
+def _make_kbest(constellation, *, k, record_trace):
+    return KBestDecoder(constellation, k=k, record_trace=record_trace)
 
 
-def _make_fsd(constellation, *, rho, record_trace, engine):
+def _make_fsd(constellation, *, rho, record_trace):
     return FixedComplexityDecoder(
-        constellation, rho=rho, record_trace=record_trace, engine=engine
+        constellation, rho=rho, record_trace=record_trace
     )
 
 
-def _make_real_sd(constellation, *, alpha, max_nodes, record_trace, engine):
+def _make_real_sd(constellation, *, alpha, max_nodes, record_trace):
     return RealSphereDecoder(
         constellation,
         strategy="dfs",
         radius_policy=NoiseScaledRadius(alpha=alpha),
         max_nodes=max_nodes,
         record_trace=record_trace,
-        engine=engine,
     )
 
 
-def _make_sd_linf(
-    constellation, *, alpha, max_nodes, child_ordering, record_trace, engine
-):
+def _make_sd_linf(constellation, *, alpha, max_nodes, child_ordering, record_trace):
     # Same traversal shape as the canonical ``sd`` kind; only the
     # partial-distance metric differs (under linf the noise-scaled
     # radius degenerates to the metric-consistent Babai seed).
@@ -263,18 +243,16 @@ def _make_sd_linf(
         max_nodes=max_nodes,
         metric="linf",
         record_trace=record_trace,
-        engine=engine,
     )
 
 
-def _make_kbest_linf(constellation, *, k, record_trace, engine):
+def _make_kbest_linf(constellation, *, k, record_trace):
     return KBestDecoder(
-        constellation, k=k, metric="linf", record_trace=record_trace,
-        engine=engine,
+        constellation, k=k, metric="linf", record_trace=record_trace
     )
 
 
-def _make_real_sd_reordered(constellation, *, alpha, max_nodes, record_trace, engine):
+def _make_real_sd_reordered(constellation, *, alpha, max_nodes, record_trace):
     return RealSphereDecoder(
         constellation,
         strategy="dfs",
@@ -282,7 +260,6 @@ def _make_real_sd_reordered(constellation, *, alpha, max_nodes, record_trace, en
         max_nodes=max_nodes,
         lattice="real-reordered",
         record_trace=record_trace,
-        engine=engine,
     )
 
 
@@ -338,12 +315,10 @@ _register(DetectorEntry(
         "max_nodes": DEFAULT_MAX_NODES,
         "child_ordering": "sorted",
         "record_trace": True,
-        "engine": None,
     },
     exact=True,
     batch=True,
     fpga_replayable=True,
-    engines=("numpy", "compiled"),
     figures=(
         "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12",
         "table2", "smoke", "ablation-search", "ablation-precision",
@@ -355,16 +330,10 @@ _register(DetectorEntry(
     kind="sd-bestfs",
     summary="Best-FS SD: global PD priority queue, Babai seed, GEMM pooling",
     factory=_make_sd_bestfs,
-    defaults={
-        "pool_size": 8,
-        "max_nodes": None,
-        "record_trace": True,
-        "engine": None,
-    },
+    defaults={"pool_size": 8, "max_nodes": None, "record_trace": True},
     exact=True,
     batch=True,
     fpga_replayable=True,
-    engines=("numpy", "compiled"),
     figures=("ablation-search",),
 ))
 
@@ -376,12 +345,10 @@ _register(DetectorEntry(
         "child_ordering": "sorted",
         "max_nodes": None,
         "record_trace": True,
-        "engine": None,
     },
     exact=True,
     batch=True,
     fpga_replayable=True,
-    engines=("numpy", "compiled"),
     figures=("ablation-search",),
 ))
 
@@ -389,16 +356,10 @@ _register(DetectorEntry(
     kind="bfs",
     summary="level-synchronous GEMM-BFS (the GPU baseline of [1])",
     factory=_make_bfs,
-    defaults={
-        "alpha": 4.0,
-        "max_frontier": 2**19,
-        "record_trace": True,
-        "engine": None,
-    },
+    defaults={"alpha": 4.0, "max_frontier": 2**19, "record_trace": True},
     exact=True,
     batch=True,
     fpga_replayable=True,
-    engines=("numpy", "compiled"),
     figures=("fig11", "ablation-search"),
 ))
 
@@ -406,11 +367,10 @@ _register(DetectorEntry(
     kind="geosphere",
     summary="Geosphere-style scalar DFS (exact, non-batched WARP baseline)",
     factory=_make_geosphere,
-    defaults={"max_nodes": None, "record_trace": True, "engine": None},
+    defaults={"max_nodes": None, "record_trace": True},
     exact=True,
     batch=True,
     fpga_replayable=True,
-    engines=("numpy", "compiled"),
     figures=("fig12",),
 ))
 
@@ -418,39 +378,31 @@ _register(DetectorEntry(
     kind="kbest",
     summary="K-best: fixed-throughput breadth-first, K survivors per level",
     factory=_make_kbest,
-    defaults={"k": 16, "record_trace": True, "engine": None},
+    defaults={"k": 16, "record_trace": True},
     exact=False,
     batch=True,
     fpga_replayable=True,
-    engines=("numpy", "compiled"),
 ))
 
 _register(DetectorEntry(
     kind="fsd",
     summary="fixed-complexity SD: full enumeration on rho levels, SIC below",
     factory=_make_fsd,
-    defaults={"rho": 1, "record_trace": True, "engine": None},
+    defaults={"rho": 1, "record_trace": True},
     exact=False,
     batch=True,
     fpga_replayable=True,
-    engines=("numpy", "compiled"),
 ))
 
 _register(DetectorEntry(
     kind="sphere-real",
     summary="exact SD over the 2M-level real-decomposition lattice",
     factory=_make_real_sd,
-    defaults={
-        "alpha": 2.0,
-        "max_nodes": None,
-        "record_trace": True,
-        "engine": None,
-    },
+    defaults={"alpha": 2.0, "max_nodes": None, "record_trace": True},
     exact=True,
     batch=False,
     fpga_replayable=True,
     lattice="real",
-    engines=("numpy", "compiled"),
     figures=("ablation-domain",),
 ))
 
@@ -463,13 +415,11 @@ _register(DetectorEntry(
         "max_nodes": DEFAULT_MAX_NODES,
         "child_ordering": "sorted",
         "record_trace": True,
-        "engine": None,
     },
     exact=False,
     batch=True,
     fpga_replayable=True,
     metric="linf",
-    engines=("numpy", "compiled"),
     figures=("ablation-metric",),
 ))
 
@@ -477,29 +427,22 @@ _register(DetectorEntry(
     kind="kbest-linf",
     summary="K-best with linf partial distances (compare-tree NORM)",
     factory=_make_kbest_linf,
-    defaults={"k": 16, "record_trace": True, "engine": None},
+    defaults={"k": 16, "record_trace": True},
     exact=False,
     batch=True,
     fpga_replayable=True,
     metric="linf",
-    engines=("numpy", "compiled"),
 ))
 
 _register(DetectorEntry(
     kind="sd-real-reordered",
     summary="exact SD on the reordered (interleaved) real lattice",
     factory=_make_real_sd_reordered,
-    defaults={
-        "alpha": 2.0,
-        "max_nodes": None,
-        "record_trace": True,
-        "engine": None,
-    },
+    defaults={"alpha": 2.0, "max_nodes": None, "record_trace": True},
     exact=True,
     batch=True,
     fpga_replayable=True,
     lattice="real-reordered",
-    engines=("numpy", "compiled"),
     figures=("ablation-metric",),
 ))
 

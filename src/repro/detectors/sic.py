@@ -17,7 +17,7 @@ from repro.core.radius import babai_point
 from repro.detectors.base import DetectionResult, Detector
 from repro.mimo.constellation import Constellation
 from repro.mimo.preprocessing import QRResult, effective_receive, qr_decompose, sorted_qr
-from repro.util.validation import check_in, check_matrix, check_vector
+from repro.util.validation import check_finite, check_in, check_matrix, check_vector
 
 
 class SICDetector(Detector):
@@ -44,7 +44,7 @@ class SICDetector(Detector):
         self._prepared = False
 
     def prepare(self, channel: np.ndarray, noise_var: float = 0.0) -> None:
-        channel = check_matrix(channel, "channel")
+        channel = check_finite(check_matrix(channel, "channel"), "channel")
         self._channel = channel
         self._qr = (
             sorted_qr(channel) if self.ordering == "sqrd" else qr_decompose(channel)
@@ -56,6 +56,7 @@ class SICDetector(Detector):
         received = check_vector(
             received, "received", length=self._channel.shape[0]
         )
+        check_finite(received, "received")
         ybar = effective_receive(self._qr, received)
         level_indices, _metric = babai_point(
             self._qr.r, ybar, self.constellation

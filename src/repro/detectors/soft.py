@@ -33,7 +33,12 @@ from repro.detectors.base import BatchEvent, DecodeStats, DetectionResult, Detec
 from repro.mimo.constellation import Constellation
 from repro.mimo.preprocessing import QRResult, effective_receive, qr_decompose
 from repro.util.timing import Timer
-from repro.util.validation import check_matrix, check_positive_int, check_vector
+from repro.util.validation import (
+    check_finite,
+    check_matrix,
+    check_positive_int,
+    check_vector,
+)
 
 
 @dataclass
@@ -87,7 +92,7 @@ class SoftOutputSphereDetector(Detector):
         self._prepared = False
 
     def prepare(self, channel: np.ndarray, noise_var: float = 0.0) -> None:
-        channel = check_matrix(channel, "channel")
+        channel = check_finite(check_matrix(channel, "channel"), "channel")
         if noise_var < 0:
             raise ValueError(f"noise_var must be non-negative, got {noise_var}")
         self._channel = channel
@@ -133,6 +138,7 @@ class SoftOutputSphereDetector(Detector):
         received = check_vector(
             received, "received", length=self._channel.shape[0]
         )
+        check_finite(received, "received")
         timer = Timer()
         stats = DecodeStats()
         with timer:

@@ -47,7 +47,6 @@ read and a boolean check per batch — see ``docs/observability.md``.
 
 from __future__ import annotations
 
-from repro.core.compiled import ENGINES
 from repro.core.enumeration import CHILD_ORDERS
 from repro.core.radius import BabaiRadius, RadiusPolicy
 from repro.core.traversal import BestFirstPolicy, DfsPolicy, TraversalPolicy
@@ -100,11 +99,6 @@ class SphereDecoder(EngineDetector):
         Ayanoglu interleaving). Real lattices need square QAM.
     record_trace:
         Keep the per-expansion :class:`BatchEvent` list in the stats.
-    engine:
-        Traversal engine: ``"numpy"`` (reference), ``"compiled"``
-        (fused Numba kernels, bit-identical) or ``None`` (default) to
-        follow the ambient default
-        (:func:`repro.core.compiled.use_engine`).
     """
 
     name = "sphere-gemm"
@@ -132,7 +126,6 @@ class SphereDecoder(EngineDetector):
         metric: str = "l2",
         lattice: str = "complex",
         record_trace: bool = True,
-        engine: str | None = None,
     ) -> None:
         self.constellation = constellation
         self.strategy = check_in(strategy, "strategy", STRATEGIES)
@@ -148,9 +141,6 @@ class SphereDecoder(EngineDetector):
         self.metric = metric
         self.lattice = lattice
         self.record_trace = record_trace
-        self.engine = (
-            None if engine is None else check_in(engine, "engine", ENGINES)
-        )
         self._resolve_axes()
         self._qr = None
         self._channel = None

@@ -74,6 +74,21 @@ def check_matrix(
     return arr
 
 
+def check_finite(arr: np.ndarray, name: str) -> np.ndarray:
+    """Return ``arr`` if every entry is finite, else raise ValueError.
+
+    One vectorised test over the whole array: detectors call it once per
+    ``prepare`` on the channel and once per ``detect``/batch call on the
+    received samples, so it stays off the per-node search path. A NaN or
+    Inf that reached the tree search would poison every partial
+    distance — the radius test then never prunes or never admits, which
+    hangs breadth-first search and leaves best-first with no leaf.
+    """
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite (no NaN or Inf entries)")
+    return arr
+
+
 def check_square_matrix(arr: Any, name: str) -> np.ndarray:
     """Return ``arr`` as a square 2-D ndarray or raise."""
     arr = check_matrix(arr, name)

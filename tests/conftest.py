@@ -15,23 +15,6 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
 
 
-@pytest.fixture(params=["numpy", "compiled"])
-def traversal_engine(request, monkeypatch) -> str:
-    """Both traversal engines, for bit-identity parameterization.
-
-    On hosts without Numba the ``compiled`` leg runs the same kernels
-    interpreted (via ``REPRO_COMPILED_INTERPRET``) — slower, but it
-    executes the exact fused-kernel control flow the jitted build runs,
-    so the bit-identity contract is still exercised.
-    """
-    if request.param == "compiled":
-        from repro.core import compiled
-
-        if not compiled.NUMBA_AVAILABLE:
-            monkeypatch.setenv(compiled.INTERPRET_ENV, "1")
-    return request.param
-
-
 @pytest.fixture(params=["bpsk", "4qam", "16qam"])
 def constellation(request) -> Constellation:
     """The three alphabets the paper discusses."""

@@ -99,7 +99,7 @@ class TestKroneckerModel:
             KroneckerChannelModel(n_tx=4, n_rx=4, rho_rx=-0.2)
 
     def test_sphere_decoder_still_exact_on_correlated_channel(self, rng):
-        from repro.core.sphere_decoder import SphereDecoder
+        from repro.detectors.sphere import SphereDecoder
         from repro.detectors.ml import MLDetector
         from repro.mimo.constellation import Constellation
 

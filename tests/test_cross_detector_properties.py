@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.radius import FixedRadius, NoiseScaledRadius
-from repro.core.sphere_decoder import SphereDecoder
+from repro.detectors.sphere import SphereDecoder
 from repro.detectors.fsd import FixedComplexityDecoder
 from repro.detectors.kbest import KBestDecoder
 from repro.detectors.linear import MMSEDetector, MRCDetector, ZeroForcingDetector

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.detectors.linear import ZeroForcingDetector
-from repro.core.sphere_decoder import SphereDecoder
+from repro.detectors.sphere import SphereDecoder
 from repro.mimo.montecarlo import MonteCarloEngine, SnrPoint
 from repro.mimo.metrics import ErrorCounter
 from repro.mimo.system import MIMOSystem

@@ -211,27 +211,15 @@ def test_golden_covers_every_replayable_kind(golden):
         assert set(scenario["detectors"]) == replayable, label
 
 
-def test_registry_bit_identity_vs_golden(golden, traversal_engine):
-    """Every replayable kind reproduces pre-refactor decodes exactly.
-
-    Parameterized over both traversal engines: the compiled engine must
-    reproduce the very same golden records — paths, metrics, radius
-    traces and all nine counters — bit for bit.
-    """
+def test_registry_bit_identity_vs_golden(golden):
+    """Every replayable kind reproduces pre-refactor decodes exactly."""
     from repro.detectors.registry import detector_entries, spec
 
     entries = {e.kind: e for e in detector_entries() if e.fpga_replayable}
     for label, scenario in golden["scenarios"].items():
         system, frames = _scenario_frames(scenario)
         for kind, rec in scenario["detectors"].items():
-            if traversal_engine not in entries[kind].engines:
-                continue  # e.g. partitioned has no compiled path
-            params = (
-                {"engine": traversal_engine}
-                if "engine" in entries[kind].defaults
-                else {}
-            )
-            detector = spec(kind, system.constellation, **params)()
+            detector = spec(kind, system.constellation)()
             detector.prepare(
                 frames[0].channel, noise_var=frames[0].noise_var
             )

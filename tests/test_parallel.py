@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.parallel import PartitionedSphereDecoder
+from repro.detectors.partitioned import PartitionedSphereDecoder
 from repro.core.radius import InfiniteRadius, NoiseScaledRadius
 from repro.detectors.ml import MLDetector
 from repro.mimo.system import MIMOSystem

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.radius import NoiseScaledRadius
-from repro.core.sphere_decoder import SphereDecoder
+from repro.detectors.sphere import SphereDecoder
 from repro.detectors.base import BatchEvent, DecodeStats
 from repro.fpga.device import AlveoU280
 from repro.fpga.pipeline import FPGAPipeline, PipelineConfig

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.sphere_decoder import SphereDecoder
+from repro.detectors.sphere import SphereDecoder
 from repro.detectors.ml import MLDetector
 from repro.detectors.real_sd import RealSphereDecoder, pam_component
 from repro.mimo.constellation import Constellation

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.radius import BabaiRadius
-from repro.core.sphere_decoder import SphereDecoder
+from repro.detectors.sphere import SphereDecoder
 from repro.detectors.kbest import KBestDecoder
 from repro.detectors.linear import ZeroForcingDetector
 from repro.detectors.lr import LRZFDetector

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.radius import InfiniteRadius, NoiseScaledRadius
-from repro.core.sphere_decoder import SphereDecoder
+from repro.detectors.sphere import SphereDecoder
 from repro.mimo.preprocessing import effective_receive, qr_decompose
 from repro.mimo.system import MIMOSystem
 

@@ -3,8 +3,8 @@
 
 The policy/backend split fixed the dependency direction between layers;
 this lint keeps it fixed. Rules (module-level imports only — lazy
-imports inside functions are the sanctioned escape hatch for the
-deprecation shims and CLI subcommands):
+imports inside functions are the sanctioned escape hatch for the CLI
+subcommands):
 
 - ``repro.core`` (search machinery) must not import ``repro.detectors``,
   ``repro.bench`` or ``repro.cli`` — policies and backends know nothing
@@ -63,8 +63,8 @@ def module_level_imports(tree: ast.Module):
     """Yield ``(lineno, imported_module)`` for top-level imports only.
 
     Imports nested in functions/methods are deliberately ignored: the
-    deprecation shims and the CLI resolve heavy modules lazily, and
-    that laziness is exactly what keeps the import graph acyclic.
+    CLI resolves heavy modules lazily, and that laziness is exactly what
+    keeps the import graph acyclic.
     """
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):

@@ -71,11 +71,7 @@ BER_ABS_SLACK = 1e-9
 #: Metric-name prefix -> tolerance class. The ``_linf`` / ``_rr``
 #: variants are the smoke sweep's per-metric/per-lattice series
 #: (sd-linf and sd-real-reordered decoding their own deterministic
-#: frame set) — same classes as the canonical decoder's columns. The
-#: ``_compiled`` variants are the canonical decoder rerun on the fused
-#: compiled traversal engine: node counts are bit-identical to numpy
-#: (class ``nodes``) and the throughput is rate-gated like every other
-#: nodes/s figure.
+#: frame set) — same classes as the canonical decoder's columns.
 METRIC_CLASSES = {
     "host_ms": "time",
     "cpu_model_ms": "model",
@@ -86,24 +82,8 @@ METRIC_CLASSES = {
     "mean_nodes_per_sec_linf": "rate",
     "mean_nodes_rr": "nodes",
     "mean_nodes_per_sec_rr": "rate",
-    "mean_nodes_compiled": "nodes",
-    "mean_nodes_per_sec_compiled": "rate",
     "ber": "ber",
 }
-
-#: Prefixes whose presence depends on the host (the ``_compiled``
-#: columns exist only where Numba is importable). A metric with one of
-#: these prefixes missing from *either* side of the comparison is
-#: informational, never a violation — a numba-less dev box must still
-#: pass the gate against a baseline recorded on the Numba CI leg, and
-#: vice versa. When present on both sides it is compared normally.
-OPTIONAL_METRIC_PREFIXES = frozenset(
-    {"mean_nodes_compiled", "mean_nodes_per_sec_compiled"}
-)
-
-
-def _optional_metric(name: str) -> bool:
-    return name.split("@", 1)[0] in OPTIONAL_METRIC_PREFIXES
 
 
 def metric_class(name: str) -> str | None:
@@ -118,27 +98,16 @@ def collect_metrics(
     frames_per_channel: int = 3,
     seed: int = 2023,
     workers: int = 1,
-    engine: str | None = None,
 ) -> tuple[dict[str, float], object]:
-    """Run the smoke experiment; returns (flat metrics, SeriesResult).
-
-    ``engine`` sets the ambient traversal engine for the whole sweep
-    (``"compiled"`` on the Numba CI leg); deterministic metrics are
-    bit-identical across engines, so the same baseline applies.
-    """
-    from contextlib import nullcontext
-
+    """Run the smoke experiment; returns (flat metrics, SeriesResult)."""
     from repro.bench.experiments import smoke_experiment
-    from repro.core.compiled import use_engine
 
-    scope = nullcontext() if engine is None else use_engine(engine)
-    with scope:
-        series = smoke_experiment(
-            channels=channels,
-            frames_per_channel=frames_per_channel,
-            seed=seed,
-            workers=workers,
-        )
+    series = smoke_experiment(
+        channels=channels,
+        frames_per_channel=frames_per_channel,
+        seed=seed,
+        workers=workers,
+    )
     metrics: dict[str, float] = {}
     for row in series.rows:
         snr = row["snr_db"]
@@ -153,8 +122,6 @@ def collect_metrics(
             "mean_nodes_per_sec_linf",
             "mean_nodes_rr",
             "mean_nodes_per_sec_rr",
-            "mean_nodes_compiled",
-            "mean_nodes_per_sec_compiled",
         ):
             value = row.get(column)
             if isinstance(value, (int, float)) and value == value:
@@ -172,9 +139,7 @@ def compare(
     A metric regresses when ``current > baseline * (1 + tol)`` for its
     class (plus :data:`BER_ABS_SLACK` for BERs). Missing metrics on
     either side are reported as regressions too — a silently vanished
-    metric must not pass the gate — except for the host-dependent
-    :data:`OPTIONAL_METRIC_PREFIXES`, which only gate when both sides
-    recorded them.
+    metric must not pass the gate.
     """
     tols = dict(DEFAULT_TOLERANCES)
     tols.update(tolerances or {})
@@ -184,8 +149,6 @@ def compare(
         if cls is None:
             continue
         if name not in current:
-            if _optional_metric(name):
-                continue
             violations.append(
                 {"metric": name, "baseline": base, "current": None,
                  "tolerance": tols[cls], "reason": "metric missing from current run"}
@@ -214,7 +177,7 @@ def compare(
                  "reason": f"{ratio:.2f}x baseline (limit {1 + tols[cls]:.2f}x)"}
             )
     for name in sorted(set(current) - set(baseline)):
-        if metric_class(name) is not None and not _optional_metric(name):
+        if metric_class(name) is not None:
             violations.append(
                 {"metric": name, "baseline": None, "current": current[name],
                  "tolerance": None, "reason": "metric missing from baseline"}
@@ -356,27 +319,12 @@ def main(argv=None) -> int:
         "metrics are bit-identical to serial, so the same baseline "
         "applies (CI uses this to gate the pool path)",
     )
-    parser.add_argument(
-        "--engine", choices=("numpy", "compiled"), default=None,
-        help="ambient traversal engine for the sweep; deterministic "
-        "metrics are bit-identical across engines, so the same "
-        "baseline applies (the Numba CI leg gates --engine compiled)",
-    )
     for cls, default in sorted(DEFAULT_TOLERANCES.items()):
         parser.add_argument(
             f"--tol-{cls}", type=float, default=None, metavar="REL",
             help=f"relative tolerance for the {cls} class (default {default})",
         )
     args = parser.parse_args(argv)
-
-    if args.engine == "compiled":
-        from repro.core.compiled import require_compiled
-
-        try:
-            require_compiled()
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
 
     config = {
         "channels": args.channels,
@@ -403,7 +351,6 @@ def main(argv=None) -> int:
             frames_per_channel=args.frames,
             seed=args.seed,
             workers=args.workers,
-            engine=args.engine,
         )
     metrics.tick(force=True)
     print(series.format())
