@@ -17,9 +17,9 @@ is just a row number. Consequences:
 * admitting the surviving children of a whole pool is **one** bulk
   write (:meth:`append_children`) instead of a per-child Python loop;
 * the ``(B, d)`` parent-index operand of a GEMM is a row selection of
-  the path matrix (:meth:`path_block`) — a zero-copy view when the rows
-  are contiguous (always true for DFS single-node expansion), one
-  vectorised gather otherwise;
+  the path matrix — a zero-copy ``path[row:row + 1, :d]`` slice for a
+  single-node pool (every DFS expansion), one vectorised gather
+  ``path[rows, :d]`` for a pooled best-first batch;
 * growth doubles the arrays and preserves live rows, so pool identity
   (row numbers) is stable for the lifetime of a search.
 
@@ -180,32 +180,6 @@ class NodePool:
     # ------------------------------------------------------------------
     # Read access
     # ------------------------------------------------------------------
-
-    def path_block(self, rows: np.ndarray, depth: int) -> np.ndarray:
-        """``(B, depth)`` root-first paths of ``rows``.
-
-        A zero-copy view when the rows are a contiguous ascending run
-        (single-node pools, freshly admitted sibling blocks); one
-        vectorised gather otherwise. Callers must treat the result as
-        read-only.
-        """
-        b = rows.shape[0]
-        lo = int(rows[0])
-        if b == 1:
-            return self.path[lo : lo + 1, :depth]
-        if int(rows[b - 1]) - lo + 1 == b and np.all(np.diff(rows) == 1):
-            return self.path[lo : lo + b, :depth]
-        return self.path[rows, :depth]
-
-    def pd_block(self, rows: np.ndarray) -> np.ndarray:
-        """``(B,)`` PDs of ``rows`` (view when contiguous, gather else)."""
-        b = rows.shape[0]
-        lo = int(rows[0])
-        if b == 1:
-            return self.pd[lo : lo + 1]
-        if int(rows[b - 1]) - lo + 1 == b and np.all(np.diff(rows) == 1):
-            return self.pd[lo : lo + b]
-        return self.pd[rows]
 
     def leaf_indices(self, row: int, child_col: int) -> np.ndarray:
         """Ascending-level indices of the leaf below ``row`` via ``child_col``.

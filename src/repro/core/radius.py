@@ -69,7 +69,7 @@ def babai_point(
     for k in range(n_tx - 1, -1, -1):
         interference = r[k, k + 1 :] @ symbols[k + 1 :]
         estimate = (ybar[k] - interference) / r[k, k]
-        idx = int(constellation.nearest_indices(np.asarray([estimate]))[0])
+        idx = constellation.nearest_index(estimate)
         indices[k] = idx
         symbols[k] = constellation.points[idx]
         err = ybar[k] - interference - r[k, k] * symbols[k]

@@ -57,10 +57,11 @@ from __future__ import annotations
 
 import abc
 import heapq
+from math import inf, isfinite
 
 import numpy as np
 
-from repro.core.enumeration import CHILD_ORDERS, child_order
+from repro.core.enumeration import CHILD_ORDERS
 from repro.core.gemm import (
     FLOPS_PER_CMAC,
     BatchedGemmEvaluator,
@@ -199,8 +200,9 @@ class _PooledTreePolicy(TraversalPolicy):
     Owns the radius schedule the paper's decoder uses: initial radius
     from the engine's radius policy, geometric escalation while the
     sphere is empty — abandoned once the node cap truncates a search,
-    since a larger radius can only expand the workload — and a Babai
-    fallback when every escalation came back empty.
+    since a larger radius can only expand the workload, or once the
+    radius is no longer finite — and a Babai fallback when every
+    escalation came back empty.
     """
 
     #: Strategy label used in ``sd.solve`` span args and detector attrs.
@@ -245,6 +247,10 @@ class _PooledTreePolicy(TraversalPolicy):
                     # a larger radius can only make that worse; give up and
                     # fall back to the Babai point below.
                     break
+                if not isfinite(bound):
+                    # Every PD overflowed to inf: ``inf < inf`` admits no
+                    # child, so escalating further would loop forever.
+                    break
                 bound *= engine.radius_policy.escalation_factor
                 stats.radius_trace.append(bound)
             if incumbent is None:
@@ -269,53 +275,37 @@ class _PooledTreePolicy(TraversalPolicy):
         """
 
     @staticmethod
-    def _account_expansion(engine, level, b, depth, order, stats):
-        """Book one pool expansion (``b`` nodes at ``level``) in ``stats``.
+    def _search_state(engine, stats, max_nodes):
+        """Per-search invariants of the leaf-first loops, hoisted once.
 
-        Called right after the ``yield``-ed :class:`ExpandRequest` comes
-        back (the request's operands are slices of the
-        :class:`NodePool` path/PD arrays — no per-node rebuilds).
-        Counts work with the exact FLOP formulas of
-        :class:`GemmEvaluator`, so per-frame counters match the serial
-        evaluator's no matter which backend ran the GEMM. A plain
-        function, not a sub-generator: delegating through ``yield from``
-        here would allocate a generator per expansion, which is
-        measurable at single-node pools.
+        Returns ``(record, hook, norm_flops, budget)``: the batch-trace
+        appender (``None`` without ``record_trace``), the engine's fused
+        telemetry hook, the NORM flops of one node's ``P`` children, and
+        how many more nodes this search may expand before the node cap
+        (``inf`` when uncapped — the cap counts every escalation round).
         """
-        stats.nodes_expanded += b
-        stats.nodes_generated += b * order
-        stats.gemm_calls += 1
-        if depth:
-            stats.gemm_flops += FLOPS_PER_CMAC * b * depth
-        stats.gemm_flops += engine.metric.flops_per_norm * b * order
-        if engine.record_trace:
-            stats.batches.append(BatchEvent(level=level, pool_size=b))
-        hook = engine.expand_hook
-        if hook is not None:
-            hook(level, b)
+        record = stats.batches.append if engine.record_trace else None
+        norm_flops = engine.metric.flops_per_norm * engine.constellation.order
+        budget = inf if max_nodes is None else max_nodes - stats.nodes_expanded
+        return record, engine.expand_hook, norm_flops, budget
 
     @staticmethod
-    def _accept_leaves(pool, rows, child_pds, bound, incumbent, stats, acc=None):
-        """Fold a batch of leaf evaluations into the incumbent/bound.
+    def _book(stats, order, nodes, calls, flops, pruned, leaves, updates, max_list):
+        """Fold one search's local counters into ``stats``.
 
-        ``rows`` indexes the level-0 parents in the :class:`NodePool`;
-        ``acc`` is the engine's optional per-level accumulator (prunes
-        here are level-0 prunes).
+        The loops count in locals rather than through ``stats``
+        attributes or a helper call per expansion; totals are identical
+        to per-expansion accounting with the exact FLOP formulas of
+        :class:`GemmEvaluator`, whichever backend ran the GEMMs.
         """
-        in_sphere = child_pds < bound
-        n_in = int(np.count_nonzero(in_sphere))
-        stats.leaves_reached += n_in
-        stats.nodes_pruned += in_sphere.size - n_in
-        if acc is not None and in_sphere.size != n_in:
-            acc.pruned[0] += in_sphere.size - n_in
-        flat = int(np.argmin(child_pds))
-        n, c = divmod(flat, child_pds.shape[1])
-        if child_pds[n, c] < bound:
-            bound = float(child_pds[n, c])
-            incumbent = pool.leaf_indices(int(rows[n]), c)
-            stats.radius_updates += 1
-            stats.radius_trace.append(bound)
-        return incumbent, bound
+        stats.nodes_expanded += nodes
+        stats.nodes_generated += nodes * order
+        stats.gemm_calls += calls
+        stats.gemm_flops += flops
+        stats.nodes_pruned += pruned
+        stats.leaves_reached += leaves
+        stats.radius_updates += updates
+        stats.max_list_size = max_list
 
 
 class BestFirstPolicy(_PooledTreePolicy):
@@ -354,12 +344,17 @@ class BestFirstPolicy(_PooledTreePolicy):
         pool_size = self.pool_size
         p = engine.constellation.order
         acc = engine.level_acc
+        record, hook, norm_flops, budget = self._search_state(
+            engine, stats, self.max_nodes
+        )
+        nodes = calls = flops = pruned = leaves = updates = 0
+        max_list = stats.max_list_size
         while heap:
             if heap[0][0] >= bound:
                 break  # heap is PD-ordered: nothing left can improve
-            first = heappop(heap)
-            level = int(levels[first[1]])
-            rows = [first[1]]
+            row = heappop(heap)[1]
+            level = int(levels[row])
+            rows = [row]
             while (
                 len(rows) < pool_size
                 and heap
@@ -367,39 +362,59 @@ class BestFirstPolicy(_PooledTreePolicy):
                 and heap[0][0] < bound
             ):
                 rows.append(heappop(heap)[1])
-            rows_arr = np.asarray(rows, dtype=np.int64)
+            b = len(rows)
             depth = n_tx - 1 - level
-            child_pds = yield ExpandRequest(
-                level,
-                pool.path_block(rows_arr, depth),
-                pool.pd_block(rows_arr),
-            )
-            self._account_expansion(engine, level, len(rows), depth, p, stats)
-            if level == 0:
-                incumbent, bound = self._accept_leaves(
-                    pool, rows_arr, child_pds, bound, incumbent, stats, acc
-                )
+            if b == 1:
+                paths, pds = pool.path[row : row + 1, :depth], pool.pd[row : row + 1]
             else:
-                mask = child_pds < bound
+                rows_arr = np.array(rows, dtype=np.int64)
+                paths, pds = pool.path[rows_arr, :depth], pool.pd[rows_arr]
+            child_pds = yield ExpandRequest(level, paths, pds)
+            nodes += b
+            calls += 1
+            flops += (FLOPS_PER_CMAC * depth + norm_flops) * b
+            if record is not None:
+                record(BatchEvent(level, b))
+            if hook is not None:
+                hook(level, b)
+            if level == 0:
+                n_in = int(np.count_nonzero(child_pds < bound))
+                leaves += n_in
+                n_pruned = b * p - n_in
+                pruned += n_pruned
+                if acc is not None and n_pruned:
+                    acc.pruned[0] += n_pruned
+                if n_in:
+                    n, c = divmod(int(child_pds.argmin()), p)
+                    best = child_pds[n, c]
+                    if best < bound:
+                        bound = float(best)
+                        incumbent = pool.leaf_indices(rows[n], c)
+                        updates += 1
+                        stats.radius_trace.append(bound)
+            else:
                 # Row-major nonzero order == the legacy per-node /
                 # per-child push order, so bulk admission assigns the
                 # same sequence numbers the scalar loop did.
-                ii, cc = mask.nonzero()
-                stats.nodes_pruned += mask.size - ii.size
-                if acc is not None and mask.size != ii.size:
-                    acc.pruned[level] += mask.size - ii.size
+                ii, cc = (child_pds < bound).nonzero()
+                n_pruned = b * p - ii.size
+                pruned += n_pruned
+                if acc is not None and n_pruned:
+                    acc.pruned[level] += n_pruned
                 if ii.size:
                     survivors = child_pds[ii, cc]
                     new_rows = pool.append_children(
-                        rows_arr[ii], cc, survivors, level - 1
+                        row if b == 1 else rows_arr[ii], cc, survivors, level - 1
                     )
                     levels = pool.level  # growth may have replaced it
                     for entry in zip(survivors.tolist(), new_rows.tolist()):
                         heappush(heap, entry)
-                stats.max_list_size = max(stats.max_list_size, len(heap))
-            if self.max_nodes is not None and stats.nodes_expanded >= self.max_nodes:
+                if len(heap) > max_list:
+                    max_list = len(heap)
+            if nodes >= budget:
                 stats.truncated += 1
                 break
+        self._book(stats, p, nodes, calls, flops, pruned, leaves, updates, max_list)
         return incumbent, bound
 
 
@@ -432,61 +447,81 @@ class DfsPolicy(_PooledTreePolicy):
         # LIFO entries (pd, pool row): the pop-time prune needs only the
         # PD scalar; everything else lives in the pool's arrays.
         stack: list[tuple[float, int]] = [(0.0, root)]
+        pop, push_entries = stack.pop, stack.extend
         p = engine.constellation.order
         acc = engine.level_acc
+        record, hook, norm_flops, budget = self._search_state(
+            engine, stats, self.max_nodes
+        )
+        # Every DFS expansion is a single node: one shared (immutable)
+        # trace event per level instead of a new one per expansion.
+        events = (
+            None if record is None else [BatchEvent(lv, 1) for lv in range(n_tx)]
+        )
+        sort_children = self.child_ordering == "sorted"
+        natural_push = np.arange(p - 1, -1, -1)
         # Per-level accounting costs more than the search itself when
         # done per node (pops outnumber expansions ~3:1): stash only the
         # pop-pruned rows and rebuild every per-level row from the pool
         # in one vectorized pass at the end (see _fold_levels).
         pruned_rows: list[int] | None = [] if acc is not None else None
-        leaves_before = stats.leaves_reached
+        nodes = flops = pruned = leaves = updates = 0
+        max_list = stats.max_list_size
         while stack:
-            node_pd, row = stack.pop()
+            node_pd, row = pop()
             if node_pd >= bound:
                 # Generated inside an older, looser sphere; the radius has
                 # shrunk since — prune on pop.
-                stats.nodes_pruned += 1
+                pruned += 1
                 if pruned_rows is not None:
                     pruned_rows.append(row)
                 continue
             level = int(pool.level[row])
-            rows_arr = np.asarray([row], dtype=np.int64)
             depth = n_tx - 1 - level
             child_pds = yield ExpandRequest(
-                level,
-                pool.path_block(rows_arr, depth),
-                pool.pd_block(rows_arr),
+                level, pool.path[row : row + 1, :depth], pool.pd[row : row + 1]
             )
-            self._account_expansion(engine, level, 1, depth, p, stats)
+            nodes += 1
+            flops += FLOPS_PER_CMAC * depth + norm_flops
+            if record is not None:
+                record(events[level])
+            if hook is not None:
+                hook(level, 1)
+            pds = child_pds[0]
             if level == 0:
-                incumbent, bound = self._accept_leaves(
-                    pool, rows_arr, child_pds, bound, incumbent, stats
-                )
+                n_in = int(np.count_nonzero(pds < bound))
+                leaves += n_in
+                pruned += p - n_in
+                if n_in:
+                    c = int(pds.argmin())
+                    best = pds[c]
+                    if best < bound:
+                        bound = float(best)
+                        incumbent = pool.leaf_indices(row, c)
+                        updates += 1
+                        stats.radius_trace.append(bound)
             else:
-                pds = child_pds[0]
-                order = child_order(pds, self.child_ordering)
-                mask = pds < bound
                 # Push worst-first so the best child is on top of the LIFO
-                # (the sorted insertion of Fig. 3): filter the reversed
-                # enumeration order by the admission mask in one step.
-                push = order[::-1]
-                push = push[mask[push]]
-                stats.nodes_pruned += mask.size - push.size
+                # (the sorted insertion of Fig. 3), keeping only children
+                # inside the sphere.
+                if sort_children:
+                    push = pds.argsort(kind="stable")[::-1]
+                else:
+                    push = natural_push
+                push = push[pds[push] < bound]
+                pruned += p - push.size
                 if push.size:
                     survivors = pds[push]
-                    new_rows = pool.append_children(
-                        row, push, survivors, level - 1
-                    )
-                    stack.extend(zip(survivors.tolist(), new_rows.tolist()))
-                stats.max_list_size = max(stats.max_list_size, len(stack))
-            if self.max_nodes is not None and stats.nodes_expanded >= self.max_nodes:
+                    new_rows = pool.append_children(row, push, survivors, level - 1)
+                    push_entries(zip(survivors.tolist(), new_rows.tolist()))
+                if len(stack) > max_list:
+                    max_list = len(stack)
+            if nodes >= budget:
                 stats.truncated += 1
                 break
+        self._book(stats, p, nodes, nodes, flops, pruned, leaves, updates, max_list)
         if acc is not None:
-            self._fold_levels(
-                acc, pool, stack, pruned_rows, p, n_tx,
-                stats.leaves_reached - leaves_before,
-            )
+            self._fold_levels(acc, pool, stack, pruned_rows, p, n_tx, leaves)
         return incumbent, bound
 
     @staticmethod
@@ -545,7 +580,7 @@ class BfsPolicy(TraversalPolicy):
     with an empty frontier the radius escalates and the sweep restarts.
     Unlike the leaf-first policies, escalation continues even after a
     frontier truncation (the truncated sweep may simply have dropped the
-    sphere's occupants).
+    sphere's occupants); it stops once the radius is no longer finite.
 
     Parameters
     ----------
@@ -626,7 +661,12 @@ class BfsPolicy(TraversalPolicy):
         radius_sq = float(init.radius_sq)
         stats.radius_trace.append(radius_sq)
         best, metric = yield from self._sweep(engine, n_tx, radius_sq, stats, tracer)
-        while best is None and engine.radius_policy.can_escalate():
+        # A non-finite radius cannot grow; stop there (PDs overflowed).
+        while (
+            best is None
+            and isfinite(radius_sq)
+            and engine.radius_policy.can_escalate()
+        ):
             radius_sq *= engine.radius_policy.escalation_factor
             stats.radius_trace.append(radius_sq)
             best, metric = yield from self._sweep(

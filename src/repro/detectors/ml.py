@@ -85,7 +85,9 @@ class MLDetector(Detector):
             residuals = candidates @ channel.T - received[None, :]
             metrics = np.sum(np.abs(residuals) ** 2, axis=1)
             k = int(np.argmin(metrics))
-            if metrics[k] < best_metric:
+            # The first chunk always seeds the incumbent, so a frame whose
+            # metrics all overflow to inf still gets a decision.
+            if best_indices is None or metrics[k] < best_metric:
                 best_metric = float(metrics[k])
                 best_indices = idx[k].copy()
         symbols = points[best_indices]

@@ -22,6 +22,7 @@ Two presets mirror the paper's designs:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from math import log2
 
@@ -431,7 +432,9 @@ class FPGAPipeline:
         """Total decode time for one decode's statistics record.
 
         Requires the per-expansion batch trace (``record_trace=True`` on
-        the decoder).
+        the decoder). The trace is replayed grouped: every distinct
+        :class:`BatchEvent` is costed once and multiplied by how often it
+        occurs, which sums to exactly the per-event totals.
         """
         if not stats.batches:
             raise ValueError(
@@ -454,13 +457,17 @@ class FPGAPipeline:
                 PIPELINE_STAGES + OVERHEAD_BUCKETS, 0
             )
             total = 0
-            for event in stats.batches:
+            # A batch's cycles depend on its (level, pool_size) alone, so
+            # each distinct event is costed once and scaled by its count
+            # (exact integer arithmetic; a DFS trace has at most n_tx
+            # distinct events among thousands).
+            for event, count in Counter(stats.batches).items():
                 cycles = self.batch_cycles(event)
                 for key, value in self._attribute(cycles).items():
-                    attributed[key] += value
-                total += cycles.pop("total")
+                    attributed[key] += count * value
+                total += count * cycles.pop("total")
                 for key, value in cycles.items():
-                    breakdown[key] += value
+                    breakdown[key] += count * value
             radius = stats.radius_updates * self.config.radius_update_cycles
             breakdown["radius"] = radius
             attributed["radius"] = radius

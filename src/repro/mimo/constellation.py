@@ -149,7 +149,7 @@ class Constellation:
         obj._qam_side = side
         # After normalisation the levels were divided by sqrt(mean energy)
         # = sqrt(2 (order - 1) / 3); store the grid step / 2 for slicing.
-        obj._qam_scale = 1.0 / np.sqrt(2.0 * (order - 1) / 3.0)
+        obj._qam_scale = float(1.0 / np.sqrt(2.0 * (order - 1) / 3.0))
         return obj
 
     # ------------------------------------------------------------------
@@ -245,6 +245,24 @@ class Constellation:
             return i_lvl * side + q_lvl
         dist = np.abs(values[..., None] - self._points)
         return np.argmin(dist, axis=-1)
+
+    def nearest_index(self, value: complex) -> int:
+        """Index of the closest point to one scalar (scalar slicer).
+
+        Same result as ``nearest_indices([value])[0]`` — the same
+        arithmetic on Python floats instead of a one-element array, for
+        per-symbol loops such as the Babai back-substitution. Each level
+        is clipped before rounding (the two commute on the integer grid),
+        so ±inf lands on the edge point as in the vector slicer.
+        """
+        value = complex(value)
+        if self._qam_side is None:
+            return int(np.argmin(np.abs(value - self._points)))
+        side, scale = self._qam_side, self._qam_scale
+        top = side - 1
+        i_lvl = round(min(max((value.real / scale + side - 1) / 2.0, 0.0), top))
+        q_lvl = round(min(max((value.imag / scale + side - 1) / 2.0, 0.0), top))
+        return i_lvl * side + q_lvl
 
     def nearest_points(self, values: np.ndarray) -> np.ndarray:
         """Closest constellation points themselves (hard slicing)."""

@@ -21,6 +21,7 @@ class TestMetricClass:
         assert cr.metric_class("mean_nodes@12") == "nodes"
         assert cr.metric_class("mean_nodes_per_sec@8") == "rate"
         assert cr.metric_class("ber@8") == "ber"
+        assert cr.metric_class("calls_per_node") == "calls"
 
     def test_unknown_prefix_is_uncompared(self):
         assert cr.metric_class("frames@8") is None
@@ -85,6 +86,12 @@ class TestCompare:
         assert [v["metric"] for v in violations] == ["mean_nodes_per_sec@8"]
         assert "higher is better" in violations[0]["reason"]
 
+    def test_calls_class_gates_at_ten_percent(self):
+        base = dict(BASE, calls_per_node=10.0)
+        assert cr.compare(base, dict(base, calls_per_node=10.9)) == []
+        violations = cr.compare(base, dict(base, calls_per_node=11.2))
+        assert [v["metric"] for v in violations] == ["calls_per_node"]
+
     def test_rate_improvement_and_jitter_pass(self):
         base = dict(BASE, **{"mean_nodes_per_sec@8": 100_000.0})
         faster = dict(base, **{"mean_nodes_per_sec@8": 250_000.0})
@@ -107,9 +114,17 @@ class TestCollectMetrics:
         assert {n.split("@", 1)[0] for n in a} == {
             "host_ms", "cpu_model_ms", "fpga_opt_ms", "ber", "mean_nodes",
             "mean_nodes_per_sec", "mean_nodes_linf", "mean_nodes_per_sec_linf",
-            "mean_nodes_rr", "mean_nodes_per_sec_rr",
+            "mean_nodes_rr", "mean_nodes_per_sec_rr", "calls_per_node",
         }
         assert series.rows
+
+    def test_calls_per_node_is_serial_even_with_workers(self):
+        """The calls proxy replays the decodes in-process, so a sharded
+        gate run reports the same figure as a serial one."""
+        kwargs = dict(channels=1, frames_per_channel=2, seed=11)
+        serial, _ = cr.collect_metrics(**kwargs)
+        sharded, _ = cr.collect_metrics(workers=2, **kwargs)
+        assert sharded["calls_per_node"] == serial["calls_per_node"] > 0
 
 
 class TestMainEndToEnd:

@@ -150,27 +150,52 @@ class TestMapping:
             qam4.map_indices(np.array([-1]))
 
 
+def slice_both(constellation, values):
+    """Vector slicer on ``values``, after checking the scalar slicer
+    (``nearest_index``) returns the same index for every element."""
+    values = np.asarray(values, dtype=np.complex128)
+    vector = constellation.nearest_indices(values)
+    scalar = [constellation.nearest_index(v) for v in values.ravel()]
+    assert scalar == vector.ravel().tolist()
+    return vector
+
+
+def edge_values(constellation):
+    """Exact slicer ties, out-of-range values and infinities."""
+    real = [0.0, 0.5, -0.5, 1e3, -1e3, 1e300, np.inf, -np.inf]
+    if constellation.is_square_qam:
+        # Midpoints between grid levels: (v / scale + side - 1) / 2 is a
+        # half-integer, the round-half-even tie of the slicer.
+        step = 2.0 * constellation._qam_scale
+        real += [m * step for m in range(-3, 4)]
+    return np.array([complex(a, b) for a in real for b in real])
+
+
 class TestSlicing:
     def test_exact_points_recovered(self, constellation):
         idx = np.arange(constellation.order)
-        assert np.array_equal(
-            constellation.nearest_indices(constellation.points), idx
-        )
+        assert np.array_equal(slice_both(constellation, constellation.points), idx)
 
     def test_small_noise_recovered(self, constellation, rng):
         idx = rng.integers(0, constellation.order, 64)
         noisy = constellation.points[idx] + 0.01 * (
             rng.standard_normal(64) + 1j * rng.standard_normal(64)
         )
-        assert np.array_equal(constellation.nearest_indices(noisy), idx)
+        assert np.array_equal(slice_both(constellation, noisy), idx)
 
     def test_slicing_clips_outside_grid(self, qam16):
-        # Far outside the grid: must clip to the nearest corner.
-        far = np.array([100 + 100j])
-        idx = qam16.nearest_indices(far)[0]
-        corner = qam16.points[idx]
-        assert corner.real == qam16.points.real.max()
-        assert corner.imag == qam16.points.imag.max()
+        # Far outside the grid (or infinitely far): the nearest corner.
+        for far in (100 + 100j, complex(np.inf, np.inf)):
+            idx = slice_both(qam16, [far])[0]
+            corner = qam16.points[idx]
+            assert corner.real == qam16.points.real.max()
+            assert corner.imag == qam16.points.imag.max()
+
+    @pytest.mark.parametrize("name", ["4qam", "16qam", "64qam", "bpsk"])
+    def test_scalar_slicer_on_ties_and_infinities(self, name):
+        c = Constellation.from_name(name)
+        idx = slice_both(c, edge_values(c))
+        assert idx.min() >= 0 and idx.max() < c.order
 
     def test_matches_exhaustive_argmin(self, qam16, rng):
         values = rng.standard_normal(128) + 1j * rng.standard_normal(128)
@@ -206,7 +231,7 @@ def test_property_slicing_is_true_nearest(order, seed):
     c = Constellation.qam(order)
     rng = np.random.default_rng(seed)
     values = 2 * (rng.standard_normal(32) + 1j * rng.standard_normal(32))
-    idx = c.nearest_indices(values)
+    idx = slice_both(c, values)
     best = np.min(np.abs(values[:, None] - c.points[None, :]), axis=1)
     got = np.abs(values - c.points[idx])
     assert np.allclose(got, best, atol=1e-12)

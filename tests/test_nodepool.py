@@ -98,25 +98,6 @@ class TestNodePoolReads:
         )
         return pool, root, l1, l0
 
-    def test_path_block_contiguous_is_view(self):
-        pool, _root, _l1, l0 = self._three_level_pool()
-        block = pool.path_block(l0, 2)
-        assert block.base is pool.path
-        np.testing.assert_array_equal(block, [[1, 2], [1, 0], [3, 1]])
-
-    def test_path_block_gather(self):
-        pool, _root, _l1, l0 = self._three_level_pool()
-        rows = l0[[2, 0]]  # non-monotone -> gather path
-        block = pool.path_block(rows, 2)
-        np.testing.assert_array_equal(block, [[3, 1], [1, 2]])
-
-    def test_pd_block_contiguous_and_gather(self):
-        pool, _root, _l1, l0 = self._three_level_pool()
-        np.testing.assert_array_equal(pool.pd_block(l0), [1.0, 1.1, 1.2])
-        np.testing.assert_array_equal(
-            pool.pd_block(l0[[2, 0]]), [1.2, 1.0]
-        )
-
     def test_path_round_trip_vs_tuple_helpers(self):
         """leaf_indices == path_to_level_indices of the tuple path."""
         pool, _root, _l1, l0 = self._three_level_pool()

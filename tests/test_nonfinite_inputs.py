@@ -69,3 +69,23 @@ def test_nonfinite_input_raises_value_error(kind, bad, where):
         if hasattr(detector, "decode_batch"):
             with pytest.raises(ValueError, match="received must be finite"):
                 detector.decode_batch(np.stack([received, received]))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_overflowing_finite_input_is_bounded(kind):
+    """Finite inputs whose partial distances overflow to inf stay total.
+
+    At ``received * 1e200`` every PD is inf, so an escalating radius
+    reaches inf and ``inf < inf`` never admits a child; the decode must
+    still return a decision (or raise ``ValueError``) in bounded time.
+    """
+    const, channel, received = _system()
+    detector = spec(kind, const)()
+    detector.prepare(channel, noise_var=0.1)
+    huge = received * 1e200
+    with _deadline(10.0):
+        try:
+            result = detector.detect(huge)
+        except ValueError:
+            return
+    assert np.asarray(result.indices).shape == (channel.shape[1],)

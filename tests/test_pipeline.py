@@ -1,5 +1,8 @@
 """Tests for the FPGA dataflow pipeline simulator."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,7 +10,12 @@ from repro.core.radius import NoiseScaledRadius
 from repro.detectors.sphere import SphereDecoder
 from repro.detectors.base import BatchEvent, DecodeStats
 from repro.fpga.device import AlveoU280
-from repro.fpga.pipeline import FPGAPipeline, PipelineConfig
+from repro.fpga.pipeline import (
+    OVERHEAD_BUCKETS,
+    PIPELINE_STAGES,
+    FPGAPipeline,
+    PipelineConfig,
+)
 from repro.mimo.system import MIMOSystem
 
 
@@ -327,3 +335,60 @@ class TestStageBreakdownProperty:
                 config, n_tx=6, n_rx=6, order=order
             ).decode_report(stats)
             assert sum(report.stage_breakdown().values()) == report.total_cycles
+
+
+class TestGroupedReplay:
+    """``decode_report`` costs each distinct ``BatchEvent`` once and
+    scales it by its count; that must equal summing every event."""
+
+    GOLDEN = Path(__file__).parent / "data" / "golden_decodes.json"
+    ORDERS = {"4qam": 4, "16qam": 16}
+
+    @staticmethod
+    def per_event_reference(pipe, stats):
+        """Per-event sum of ``batch_cycles``/``batch_attribution``."""
+        breakdown = dict.fromkeys(
+            ("branch", "prefetch", "gemm", "evaluate", "norm", "prune", "control"), 0
+        )
+        attributed = dict.fromkeys(PIPELINE_STAGES + OVERHEAD_BUCKETS, 0)
+        total = 0
+        for event in stats.batches:
+            cycles = pipe.batch_cycles(event)
+            total += cycles.pop("total")
+            for key, value in cycles.items():
+                breakdown[key] += value
+            for key, value in pipe.batch_attribution(event).items():
+                attributed[key] += value
+        fixed = {
+            "radius": stats.radius_updates * pipe.config.radius_update_cycles,
+            "setup": pipe.config.setup_cycles,
+            "transfer": pipe.transfer_cycles(),
+        }
+        breakdown.update(fixed)
+        attributed.update(fixed)
+        return total + sum(fixed.values()), breakdown, attributed
+
+    @pytest.mark.parametrize("preset", ["baseline", "optimized"])
+    @pytest.mark.parametrize("kind", ["sd", "sd-bestfs", "bfs"])
+    def test_matches_per_event_sum_on_golden_traces(self, kind, preset):
+        golden = json.loads(self.GOLDEN.read_text())
+        rng = np.random.default_rng(0)
+        checked = 0
+        for label, scenario in golden["scenarios"].items():
+            order = self.ORDERS[scenario["modulation"]]
+            n = scenario["n_antennas"]
+            config = getattr(PipelineConfig, preset)(order)
+            pipe = FPGAPipeline(config, n_tx=n, n_rx=n, order=order)
+            for rec in scenario["detectors"][kind]["per_frame"]:
+                batches = [BatchEvent(lv, ps) for lv, ps in rec["batches"]]
+                rng.shuffle(batches)
+                stats = DecodeStats(
+                    radius_updates=rec["radius_updates"], batches=batches
+                )
+                report = pipe.decode_report(stats)
+                total, breakdown, attributed = self.per_event_reference(pipe, stats)
+                assert report.total_cycles == total, label
+                assert report.breakdown == breakdown, label
+                assert report.attributed == attributed, label
+                checked += 1
+        assert checked

@@ -14,12 +14,19 @@ class        metrics                                 default tolerance
 ``nodes``    ``mean_nodes[_linf|_rr]@*``             +2 %
 ``rate``     ``mean_nodes_per_sec[_linf|_rr]@*``     -60 %
 ``ber``      ``ber@*``                               +0 (abs 1e-9)
+``calls``    ``calls_per_node``                      +10 %
 ===========  ======================================  ================
+
+``calls_per_node`` is a deterministic host-cost proxy: calls into
+functions of the ``repro`` package per expanded node while the smoke
+sweep's detectors decode (see :func:`decode_calls_per_node`). It moves
+only when the search loops do more interpreter work per node — wall
+time cannot see a 10 % change on a shared runner, this can.
 
 ``rate`` metrics are *higher-is-better*: they regress when the current
 value falls **below** ``baseline * (1 - tol)`` (a throughput collapse),
 the mirror image of every other class. Everything except ``host_ms``
-and ``mean_nodes_per_sec`` is bit-deterministic for a fixed seed, so
+and ``mean_nodes_per_sec`` is deterministic for a fixed seed, so
 those classes catch *algorithmic* regressions machine-independently;
 the loose ``time``/``rate`` classes catch real slowdowns (an injected
 2x is flagged) while absorbing run-to-run noise. Exit status: 0 = no
@@ -40,6 +47,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -59,6 +67,7 @@ DEFAULT_TOLERANCES = {
     "nodes": 0.02,
     "rate": 0.60,
     "ber": 0.0,
+    "calls": 0.10,
 }
 
 #: Classes where *larger* is better — regression = falling below
@@ -83,6 +92,7 @@ METRIC_CLASSES = {
     "mean_nodes_rr": "nodes",
     "mean_nodes_per_sec_rr": "rate",
     "ber": "ber",
+    "calls_per_node": "calls",
 }
 
 
@@ -126,7 +136,75 @@ def collect_metrics(
             value = row.get(column)
             if isinstance(value, (int, float)) and value == value:
                 metrics[f"{column}@{snr:g}"] = float(value)
+    metrics["calls_per_node"] = decode_calls_per_node(
+        channels=channels, frames_per_channel=frames_per_channel, seed=seed
+    )
     return metrics, series
+
+
+def decode_calls_per_node(
+    *, channels: int = 2, frames_per_channel: int = 3, seed: int = 2023
+) -> float:
+    """Calls into ``repro`` functions per expanded node, smoke decodes.
+
+    Replays the smoke sweep serially in this process with telemetry off
+    and counts, under cProfile, every call into a function defined in
+    the ``repro`` package while an ``EngineDetector.detect`` or
+    ``decode_batch`` runs. NumPy and builtin calls are left out, so the
+    NumPy version cannot move the figure, and the in-process serial
+    replay gives the same figure whatever ``--workers`` the gated run
+    used. Divided by the nodes those decodes expanded.
+    """
+    import cProfile
+    import pstats
+
+    import repro
+    from repro.bench.experiments import smoke_experiment
+    from repro.detectors.engine import EngineDetector
+    from repro.obs import NULL_METRICS, NULL_TRACER, use_metrics, use_tracer
+
+    package = os.path.dirname(repro.__file__) + os.sep
+    profiler = cProfile.Profile()
+    nodes = depth = 0
+
+    def counted(method):
+        def call(self, received):
+            nonlocal nodes, depth
+            depth += 1
+            if depth == 1:
+                profiler.enable()
+            try:
+                result = method(self, received)
+            finally:
+                depth -= 1
+                if not depth:
+                    profiler.disable()
+            if not depth:
+                results = result if isinstance(result, list) else [result]
+                nodes += sum(r.stats.nodes_expanded for r in results)
+            return result
+
+        return call
+
+    saved = {name: vars(EngineDetector)[name] for name in ("detect", "decode_batch")}
+    try:
+        for name, method in saved.items():
+            setattr(EngineDetector, name, counted(method))
+        with use_tracer(NULL_TRACER), use_metrics(NULL_METRICS):
+            smoke_experiment(
+                channels=channels, frames_per_channel=frames_per_channel, seed=seed
+            )
+    finally:
+        for name, method in saved.items():
+            setattr(EngineDetector, name, method)
+    calls = sum(
+        nc
+        for (filename, _line, _name), (_cc, nc, *_rest) in pstats.Stats(
+            profiler
+        ).stats.items()
+        if filename.startswith(package)
+    )
+    return calls / max(nodes, 1)
 
 
 def compare(
