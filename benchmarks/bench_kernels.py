@@ -73,7 +73,6 @@ def bench_decode_10x10_4qam_8db(benchmark):
         system.constellation,
         strategy="dfs",
         radius_policy=NoiseScaledRadius(alpha=2.0),
-        record_trace=False,
     )
     decoder.prepare(frame.channel, noise_var=frame.noise_var)
     benchmark(decoder.detect, frame.received)
@@ -83,7 +82,7 @@ def bench_decode_bestfirst_pooled(benchmark):
     """Best-FS with pool batching (the GEMM-friendly variant)."""
     system, frame = _fixture(n=10, snr_db=8.0)
     decoder = SphereDecoder(
-        system.constellation, strategy="best-first", pool_size=16, record_trace=False
+        system.constellation, strategy="best-first", pool_size=16
     )
     decoder.prepare(frame.channel, noise_var=frame.noise_var)
     benchmark(decoder.detect, frame.received)
@@ -97,7 +96,6 @@ def bench_decode_linf_10x10_8db(benchmark):
         strategy="dfs",
         radius_policy=NoiseScaledRadius(alpha=2.0),
         metric="linf",
-        record_trace=False,
     )
     decoder.prepare(frame.channel, noise_var=frame.noise_var)
     benchmark(decoder.detect, frame.received)
@@ -111,7 +109,6 @@ def bench_decode_real_reordered_10x10_8db(benchmark):
         strategy="dfs",
         radius_policy=NoiseScaledRadius(alpha=2.0),
         lattice="real-reordered",
-        record_trace=False,
     )
     decoder.prepare(frame.channel, noise_var=frame.noise_var)
     benchmark(decoder.detect, frame.received)
@@ -124,7 +121,6 @@ def bench_bfs_sweep_12db(benchmark):
         system.constellation,
         radius_policy=NoiseScaledRadius(alpha=4.0),
         max_frontier=2**17,
-        record_trace=False,
     )
     decoder.prepare(frame.channel, noise_var=frame.noise_var)
     benchmark(decoder.detect, frame.received)
@@ -276,7 +272,7 @@ def _decode_throughput(
 ):
     """Best-of-``repeats`` nodes/s for one full-decode configuration."""
     system, frame = _fixture(n=n, snr_db=snr_db)
-    kwargs = {"record_trace": False, "metric": metric, "lattice": lattice}
+    kwargs = {"metric": metric, "lattice": lattice}
     if strategy == "best-first":
         kwargs["pool_size"] = pool_size
     else:

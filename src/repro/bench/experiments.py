@@ -634,9 +634,7 @@ def ablation_precision(
                     else:
                         r_use = qr.r.astype(dtype).astype(np.complex128)
                         ybar_use = ybar.astype(dtype).astype(np.complex128)
-                    decoder = spec(
-                        "sd", const, max_nodes=None, record_trace=False
-                    )()
+                    decoder = spec("sd", const, max_nodes=None)()
                     best, _metric, _stats = decoder.solve(
                         r_use, ybar_use, frame.noise_var
                     )

@@ -310,7 +310,7 @@ def observe_bench(
             print(f"[obs] flamegraphs written: {collapsed}, {speedscope}")
         if recorder.enabled:
             recorder.record_metrics(tracer)
-            recorder.record_trace(tracer)
+            recorder.record_chrome_trace(tracer)
             recorder.record_profile(tracer)
             path = recorder.finalize(status)
             print(f"[obs] run recorded: {path}")

@@ -672,14 +672,14 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         except BaseException:
             metrics.tick(force=True)
             recorder.record_metrics(tracer, metrics)
-            recorder.record_trace(tracer)
+            recorder.record_chrome_trace(tracer)
             recorder.record_profile(tracer)
             recorder.finalize("failed")
             raise
         metrics.tick(force=True)
         recorder.record_series(result)
         recorder.record_metrics(tracer, metrics)
-        recorder.record_trace(tracer)
+        recorder.record_chrome_trace(tracer)
         recorder.record_profile(tracer)
         path = recorder.finalize()
         print(result.format())
@@ -1007,7 +1007,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             if result.series is not None and hasattr(result.series, "columns"):
                 recorder.record_series(result.series)
             recorder.record_metrics(result.tracer)
-            recorder.record_trace(result.tracer)
+            recorder.record_chrome_trace(result.tracer)
             recorder.record_profile(tree)
             path = recorder.finalize()
             print(f"[obs] run recorded: {path}")
@@ -1113,14 +1113,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         except BaseException:
             metrics.tick(force=True)
             recorder.record_metrics(tracer, metrics)
-            recorder.record_trace(tracer)
+            recorder.record_chrome_trace(tracer)
             recorder.record_profile(tracer)
             recorder.finalize("failed")
             raise
         metrics.tick(force=True)
         recorder.record_series(result.series)
         recorder.record_metrics(tracer, metrics)
-        recorder.record_trace(tracer)
+        recorder.record_chrome_trace(tracer)
         recorder.record_profile(tracer)
         path = recorder.finalize()
         print(result.format())

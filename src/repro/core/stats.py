@@ -35,19 +35,27 @@ class BatchEvent(NamedTuple):
 class DecodeStats:
     """Work performed by one ``detect`` call of a tree-search detector.
 
-    Aggregation across frames goes through :meth:`merge`, which derives
-    the per-field rule from the dataclass definition itself: numeric
-    fields sum and list fields concatenate unless the field declares a
-    ``merge`` metadata override (``max_list_size`` keeps the maximum).
-    Adding a field therefore never silently drops it from aggregates —
-    ``tests/test_detector_base.py`` asserts every field round-trips.
+    This record is the only count the search keeps. Scalars total the
+    whole decode; ``batches`` holds one :class:`BatchEvent` per
+    expansion, so per-level nodes expanded and expansion counts are
+    folded from it; ``level_pruned[k]`` counts the nodes pruned at tree
+    level ``k`` and sums to ``nodes_pruned``. Tracer counters and the
+    ``traversal.*`` metric series are derived from these fields after
+    the decode (``EngineDetector._publish`` in :mod:`repro.detectors.engine`).
 
-    Merging is **order-independent** for every scalar field (sums and
-    maxima commute and associate), so cross-process aggregation needs no
-    global frame order: ``a.merge(b)`` equals ``b.merge(a)`` field-wise
-    except for the list fields (``batches``, ``radius_trace``), which
-    concatenate left-to-right. Callers that shard frames across workers
-    therefore merge worker results in deterministic shard order (see
+    Aggregation across frames goes through :meth:`merge_all` (and
+    :meth:`merge`, its two-record form), which derives the per-field
+    rule from the dataclass definition itself: numeric fields sum and
+    list fields concatenate unless the field declares a ``merge``
+    metadata override (``"max"`` keeps the maximum, ``"elementwise"``
+    adds lists position by position). Adding a field therefore never
+    silently drops it from aggregates — ``tests/test_detector_base.py``
+    asserts every field round-trips.
+
+    Merging is **order-independent** for every field except the
+    concatenated traces (``batches``, ``radius_trace``), which join
+    left-to-right. Callers that shard frames across workers therefore
+    merge worker results in deterministic shard order (see
     :mod:`repro.mimo.parallel_mc`) so the concatenated traces reproduce
     the serial order exactly.
     """
@@ -70,6 +78,11 @@ class DecodeStats:
     truncated: int = 0
     batches: list[BatchEvent] = field(default_factory=list)
     radius_trace: list[float] = field(default_factory=list)
+    #: Nodes pruned per tree level (index = level); sums to
+    #: ``nodes_pruned``.
+    level_pruned: list[int] = field(
+        default_factory=list, metadata={"merge": "elementwise"}
+    )
 
     @property
     def nodes_per_sec(self) -> float:
@@ -97,50 +110,52 @@ class DecodeStats:
 
     def merge(self, other: "DecodeStats") -> "DecodeStats":
         """Aggregate two stats records (e.g. across Monte Carlo frames)."""
-        merged: dict[str, object] = {}
-        for f in fields(self):
-            mine, theirs = getattr(self, f.name), getattr(other, f.name)
-            rule = f.metadata.get("merge")
-            if rule is None:
-                if isinstance(mine, (int, float)) or isinstance(mine, list):
-                    rule = "sum"  # numeric add / list concatenation
-                else:
-                    raise TypeError(
-                        f"DecodeStats.{f.name}: no default merge rule for "
-                        f"{type(mine).__name__}; declare one via "
-                        "field(metadata={'merge': ...})"
-                    )
-            if rule == "sum":
-                merged[f.name] = mine + theirs
-            elif rule == "max":
-                merged[f.name] = max(mine, theirs)
-            else:
-                raise TypeError(
-                    f"DecodeStats.{f.name}: unknown merge rule {rule!r}"
-                )
-        return type(self)(**merged)
+        return type(self).merge_all((self, other))
 
     @classmethod
     def merge_all(cls, stats: Iterable["DecodeStats"]) -> "DecodeStats":
         """Fold many stats records into one in linear time.
 
-        Equivalent to chaining :meth:`merge` pairwise left-to-right but
-        without the quadratic list re-concatenation — the form the
-        Monte Carlo engine and the process-sharded sweep runner use to
-        aggregate thousands of per-frame records.
+        The one implementation of the per-field merge rules: the Monte
+        Carlo engine's :meth:`~repro.mimo.montecarlo.SnrPoint.aggregate_stats`
+        and :meth:`merge` both go through it, so a field's rule is
+        written once. Raises :class:`TypeError` for a field with no rule.
         """
         merged = cls()
-        total: dict[str, object] = {
-            f.name: getattr(merged, f.name) for f in fields(cls)
-        }
+        rules = [(f.name, _merge_rule(f, getattr(merged, f.name))) for f in fields(cls)]
         for st in stats:
-            for f in fields(cls):
-                value = getattr(st, f.name)
-                rule = f.metadata.get("merge")
-                if rule == "max":
-                    total[f.name] = max(total[f.name], value)
-                elif isinstance(value, list):
-                    total[f.name].extend(value)
-                else:
-                    total[f.name] += value
-        return cls(**total)
+            for name, rule in rules:
+                value = getattr(st, name)
+                if rule == "sum":
+                    setattr(merged, name, getattr(merged, name) + value)
+                elif rule == "max":
+                    setattr(merged, name, max(getattr(merged, name), value))
+                elif rule == "concat":
+                    getattr(merged, name).extend(value)
+                else:  # elementwise
+                    total = getattr(merged, name)
+                    total.extend([0] * (len(value) - len(total)))
+                    for i, v in enumerate(value):
+                        total[i] += v
+        return merged
+
+
+_MERGE_RULES = ("sum", "max", "concat", "elementwise")
+
+
+def _merge_rule(f, default) -> str:
+    """Merge rule of dataclass field ``f`` whose default value is ``default``."""
+    rule = f.metadata.get("merge")
+    if rule is None:
+        if isinstance(default, list):
+            return "concat"
+        if isinstance(default, (int, float)):
+            return "sum"
+        raise TypeError(
+            f"DecodeStats.{f.name}: no default merge rule for "
+            f"{type(default).__name__}; declare one via "
+            "field(metadata={'merge': ...})"
+        )
+    if rule not in _MERGE_RULES:
+        raise TypeError(f"DecodeStats.{f.name}: unknown merge rule {rule!r}")
+    return rule

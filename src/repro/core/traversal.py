@@ -43,10 +43,11 @@ Frontier storage is the structure-of-arrays
 PD/seq/level vectors and one ``(capacity, M)`` path matrix, child
 admission is a single masked bulk append per expansion, and a pool's
 ``(B, d)`` GEMM operand is a row block of the path matrix instead of a
-per-node ``fromiter`` rebuild. The best-first heap and the DFS stack
-hold scalar ``(pd, seq/row)`` entries ordered exactly like the legacy
-per-node tuples, so every decode remains bit-identical to the object
-model (``tests/test_nodepool.py`` checks against recorded outputs).
+per-node ``fromiter`` rebuild. The best-first heap holds scalar
+``(pd, row)`` entries and the DFS stack ``(pd, row, level)`` entries,
+ordered exactly like the legacy per-node tuples, so every decode
+remains bit-identical to the object model (``tests/test_nodepool.py``
+checks against recorded outputs).
 
 Exactness of the best-first / DFS policies is property-tested against
 brute force in ``tests/test_sphere_decoder_exactness.py``; equivalence
@@ -57,6 +58,7 @@ from __future__ import annotations
 
 import abc
 import heapq
+from itertools import repeat
 from math import inf, isfinite
 
 import numpy as np
@@ -101,89 +103,28 @@ class TraversalPolicy(abc.ABC):
         """
 
 
-class LevelAccumulator:
-    """Per-level traversal totals, kept hot-path-cheap.
+def _build_expand_hook(tracer):
+    """Per-expansion ``sd.batch`` marks as one flat prebound closure.
 
-    Three flat integer lists indexed by tree level: nodes expanded,
-    expansion (GEMM batch) count, and nodes pruned. Plain list-index
-    increments rather than metric instruments or a dict of rows because
-    the expansion sites run tens of thousands of times per frame; the
-    detector layer folds the totals into labelled counters once per
-    solve. Per-level *generated* is not tracked — it is exactly
-    ``nodes * constellation.order``.
-
-    :meth:`ensure` sizes the lists before a search (policies call it
-    once per solve with ``n_tx``); sizing never shrinks, so one
-    accumulator can span a whole decode batch.
-    """
-
-    __slots__ = ("nodes", "exps", "pruned")
-
-    def __init__(self) -> None:
-        self.nodes: list[int] = []
-        self.exps: list[int] = []
-        self.pruned: list[int] = []
-
-    def ensure(self, n_levels: int) -> None:
-        grow = n_levels - len(self.nodes)
-        if grow > 0:
-            self.nodes.extend([0] * grow)
-            self.exps.extend([0] * grow)
-            self.pruned.extend([0] * grow)
-
-
-def _build_expand_hook(acc, tracer):
-    """Fuse per-expansion telemetry into one flat prebound closure.
-
-    ``acc`` is the engine's optional :class:`LevelAccumulator` (pass
-    ``None`` when the policy reconstructs per-level totals vectorized at
-    the end of a search instead — see :attr:`DfsPolicy.vectorized_acc`);
-    ``tracer`` contributes ``sd.batch`` marks when enabled (via
-    :meth:`~repro.obs.Tracer.mark_bindings`). DFS expands single-node
-    pools, so this closure runs tens of thousands of times per frame —
+    Marks come from :meth:`~repro.obs.Tracer.mark_bindings`; ``None``
+    when the tracer is off (the common case), so the search loops pay
+    one ``is None`` test per expansion. DFS expands single-node pools,
+    so this closure runs tens of thousands of times per frame —
     everything is prebound, and single-node marks are sampled at the
-    tracer's ``mark_stride`` (pooled marks always record; exact counts
-    live in the metrics registry and ``DecodeStats``, marks are
-    timeline samples). Returns ``None`` when there is nothing to
-    record. Safe across :meth:`LevelAccumulator.ensure` growth because
-    ``ensure`` extends the lists in place.
+    tracer's ``mark_stride`` (pooled marks always record). Marks are
+    timeline samples; exact counts live in ``DecodeStats``.
     """
     bindings = tracer.mark_bindings()
     if bindings is None:
-        if acc is None:
-            return None
-        nodes = acc.nodes
-        exps = acc.exps
-
-        def hook(level: int, b: int) -> None:
-            nodes[level] += b
-            exps[level] += 1
-
-        return hook
+        return None
     append, now, epoch, tid = bindings
     stride = tracer.mark_stride
     # Start one short of the stride so the first single-node mark of
     # every solve records (a frame's trace is never entirely bare).
     skip = stride - 1
-    if acc is None:
-
-        def hook(level: int, b: int) -> None:
-            nonlocal skip
-            if b == 1:
-                skip += 1
-                if skip < stride:
-                    return
-                skip = 0
-            append(("sd.batch", now() - epoch, tid, level, b))
-
-        return hook
-    nodes = acc.nodes
-    exps = acc.exps
 
     def hook(level: int, b: int) -> None:
         nonlocal skip
-        nodes[level] += b
-        exps[level] += 1
         if b == 1:
             skip += 1
             if skip < stride:
@@ -200,19 +141,14 @@ class _PooledTreePolicy(TraversalPolicy):
     Owns the radius schedule the paper's decoder uses: initial radius
     from the engine's radius policy, geometric escalation while the
     sphere is empty — abandoned once the node cap truncates a search,
-    since a larger radius can only expand the workload, or once the
-    radius is no longer finite — and a Babai fallback when every
-    escalation came back empty.
+    since a larger radius can only expand the workload, once no child
+    PD of a search was finite (they overflowed, so no radius admits
+    one), or once the radius is no longer finite — and a Babai fallback
+    when every escalation came back empty.
     """
 
     #: Strategy label used in ``sd.solve`` span args and detector attrs.
     strategy: str
-
-    #: When True the policy's ``_search`` rebuilds the engine's
-    #: per-level accumulator rows itself (one vectorized pass at search
-    #: end) and the expand hook carries marks only. Worth it exactly
-    #: when expansions are single-node and extremely frequent (DFS).
-    vectorized_acc = False
 
     def __init__(self, *, max_nodes: int | None = None) -> None:
         self.max_nodes = (
@@ -221,12 +157,9 @@ class _PooledTreePolicy(TraversalPolicy):
 
     def solve_gen(self, engine, r, ybar, noise_var, stats, tracer):
         n_tx = int(r.shape[1])
-        acc = engine.level_acc
-        if acc is not None:
-            acc.ensure(n_tx)
-        engine.expand_hook = _build_expand_hook(
-            None if self.vectorized_acc else acc, tracer
-        )
+        if not stats.level_pruned:
+            stats.level_pruned = [0] * n_tx
+        engine.expand_hook = _build_expand_hook(tracer)
         with tracer.span("sd.solve", strategy=self.strategy, n_tx=n_tx):
             init = engine.radius_policy.initial(
                 r, ybar, engine.constellation, float(noise_var),
@@ -248,8 +181,9 @@ class _PooledTreePolicy(TraversalPolicy):
                     # fall back to the Babai point below.
                     break
                 if not isfinite(bound):
-                    # Every PD overflowed to inf: ``inf < inf`` admits no
-                    # child, so escalating further would loop forever.
+                    # No child PD was finite (they overflowed), or the
+                    # radius itself did: ``inf < inf`` admits no child,
+                    # so escalating further cannot help.
                     break
                 bound *= engine.radius_policy.escalation_factor
                 stats.radius_trace.append(bound)
@@ -271,7 +205,9 @@ class _PooledTreePolicy(TraversalPolicy):
 
         Generator (driven via ``yield from``); returns the best complete
         solution found (ascending-level indices) and its metric — or
-        ``(incumbent, bound)`` unchanged when the sphere is empty.
+        ``(incumbent, bound)`` unchanged when the sphere is empty, with
+        the bound replaced by ``inf`` when the root's children were the
+        only expansion and none of their PDs was finite.
         """
 
     @staticmethod
@@ -279,15 +215,14 @@ class _PooledTreePolicy(TraversalPolicy):
         """Per-search invariants of the leaf-first loops, hoisted once.
 
         Returns ``(record, hook, norm_flops, budget)``: the batch-trace
-        appender (``None`` without ``record_trace``), the engine's fused
-        telemetry hook, the NORM flops of one node's ``P`` children, and
-        how many more nodes this search may expand before the node cap
-        (``inf`` when uncapped — the cap counts every escalation round).
+        appender, the engine's ``sd.batch`` mark hook, the NORM flops of
+        one node's ``P`` children, and how many more nodes this search
+        may expand before the node cap (``inf`` when uncapped — the cap
+        counts every escalation round).
         """
-        record = stats.batches.append if engine.record_trace else None
         norm_flops = engine.metric.flops_per_norm * engine.constellation.order
         budget = inf if max_nodes is None else max_nodes - stats.nodes_expanded
-        return record, engine.expand_hook, norm_flops, budget
+        return stats.batches.append, engine.expand_hook, norm_flops, budget
 
     @staticmethod
     def _book(stats, order, nodes, calls, flops, pruned, leaves, updates, max_list):
@@ -343,7 +278,7 @@ class BestFirstPolicy(_PooledTreePolicy):
         heappop, heappush = heapq.heappop, heapq.heappush
         pool_size = self.pool_size
         p = engine.constellation.order
-        acc = engine.level_acc
+        level_pruned = stats.level_pruned
         record, hook, norm_flops, budget = self._search_state(
             engine, stats, self.max_nodes
         )
@@ -373,8 +308,7 @@ class BestFirstPolicy(_PooledTreePolicy):
             nodes += b
             calls += 1
             flops += (FLOPS_PER_CMAC * depth + norm_flops) * b
-            if record is not None:
-                record(BatchEvent(level, b))
+            record(BatchEvent(level, b))
             if hook is not None:
                 hook(level, b)
             if level == 0:
@@ -382,8 +316,7 @@ class BestFirstPolicy(_PooledTreePolicy):
                 leaves += n_in
                 n_pruned = b * p - n_in
                 pruned += n_pruned
-                if acc is not None and n_pruned:
-                    acc.pruned[0] += n_pruned
+                level_pruned[0] += n_pruned
                 if n_in:
                     n, c = divmod(int(child_pds.argmin()), p)
                     best = child_pds[n, c]
@@ -399,8 +332,7 @@ class BestFirstPolicy(_PooledTreePolicy):
                 ii, cc = (child_pds < bound).nonzero()
                 n_pruned = b * p - ii.size
                 pruned += n_pruned
-                if acc is not None and n_pruned:
-                    acc.pruned[level] += n_pruned
+                level_pruned[level] += n_pruned
                 if ii.size:
                     survivors = child_pds[ii, cc]
                     new_rows = pool.append_children(
@@ -415,6 +347,8 @@ class BestFirstPolicy(_PooledTreePolicy):
                 stats.truncated += 1
                 break
         self._book(stats, p, nodes, calls, flops, pruned, leaves, updates, max_list)
+        if incumbent is None and nodes == 1 and not np.isfinite(child_pds).any():
+            bound = inf  # the root's child PDs overflowed: no radius admits one
         return incumbent, bound
 
 
@@ -431,7 +365,6 @@ class DfsPolicy(_PooledTreePolicy):
     """
 
     strategy = "dfs"
-    vectorized_acc = True
 
     def __init__(
         self, *, child_ordering: str = "sorted", max_nodes: int | None = None
@@ -444,47 +377,38 @@ class DfsPolicy(_PooledTreePolicy):
     def _search(self, engine, n_tx, bound, incumbent, stats, tracer):
         pool = NodePool(n_tx)
         root = pool.append_root()
-        # LIFO entries (pd, pool row): the pop-time prune needs only the
-        # PD scalar; everything else lives in the pool's arrays.
-        stack: list[tuple[float, int]] = [(0.0, root)]
+        # LIFO entries (pd, pool row, level): the pop-time prune and the
+        # per-level prune count need only these scalars; paths and PDs
+        # live in the pool's arrays.
+        stack: list[tuple[float, int, int]] = [(0.0, root, n_tx - 1)]
         pop, push_entries = stack.pop, stack.extend
         p = engine.constellation.order
-        acc = engine.level_acc
+        level_pruned = stats.level_pruned
         record, hook, norm_flops, budget = self._search_state(
             engine, stats, self.max_nodes
         )
         # Every DFS expansion is a single node: one shared (immutable)
         # trace event per level instead of a new one per expansion.
-        events = (
-            None if record is None else [BatchEvent(lv, 1) for lv in range(n_tx)]
-        )
+        events = [BatchEvent(lv, 1) for lv in range(n_tx)]
         sort_children = self.child_ordering == "sorted"
         natural_push = np.arange(p - 1, -1, -1)
-        # Per-level accounting costs more than the search itself when
-        # done per node (pops outnumber expansions ~3:1): stash only the
-        # pop-pruned rows and rebuild every per-level row from the pool
-        # in one vectorized pass at the end (see _fold_levels).
-        pruned_rows: list[int] | None = [] if acc is not None else None
         nodes = flops = pruned = leaves = updates = 0
         max_list = stats.max_list_size
         while stack:
-            node_pd, row = pop()
+            node_pd, row, level = pop()
             if node_pd >= bound:
                 # Generated inside an older, looser sphere; the radius has
                 # shrunk since — prune on pop.
                 pruned += 1
-                if pruned_rows is not None:
-                    pruned_rows.append(row)
+                level_pruned[level] += 1
                 continue
-            level = int(pool.level[row])
             depth = n_tx - 1 - level
             child_pds = yield ExpandRequest(
                 level, pool.path[row : row + 1, :depth], pool.pd[row : row + 1]
             )
             nodes += 1
             flops += FLOPS_PER_CMAC * depth + norm_flops
-            if record is not None:
-                record(events[level])
+            record(events[level])
             if hook is not None:
                 hook(level, 1)
             pds = child_pds[0]
@@ -492,6 +416,7 @@ class DfsPolicy(_PooledTreePolicy):
                 n_in = int(np.count_nonzero(pds < bound))
                 leaves += n_in
                 pruned += p - n_in
+                level_pruned[0] += p - n_in
                 if n_in:
                     c = int(pds.argmin())
                     best = pds[c]
@@ -510,67 +435,22 @@ class DfsPolicy(_PooledTreePolicy):
                     push = natural_push
                 push = push[pds[push] < bound]
                 pruned += p - push.size
+                level_pruned[level] += p - push.size
                 if push.size:
                     survivors = pds[push]
                     new_rows = pool.append_children(row, push, survivors, level - 1)
-                    push_entries(zip(survivors.tolist(), new_rows.tolist()))
+                    push_entries(
+                        zip(survivors.tolist(), new_rows.tolist(), repeat(level - 1))
+                    )
                 if len(stack) > max_list:
                     max_list = len(stack)
             if nodes >= budget:
                 stats.truncated += 1
                 break
         self._book(stats, p, nodes, nodes, flops, pruned, leaves, updates, max_list)
-        if acc is not None:
-            self._fold_levels(acc, pool, stack, pruned_rows, p, n_tx, leaves)
+        if incumbent is None and nodes == 1 and not np.isfinite(child_pds).any():
+            bound = inf  # the root's child PDs overflowed: no radius admits one
         return incumbent, bound
-
-    @staticmethod
-    def _fold_levels(acc, pool, stack, pruned_rows, order, n_tx, leaves):
-        """Rebuild this search's per-level accumulator rows from the pool.
-
-        Every admitted row is exactly one of: pop-pruned
-        (``pruned_rows``), still on ``stack`` (node-cap truncation), or
-        expanded — so per-level expansion counts are three ``bincount``
-        calls, not a list increment per node. Derived rows follow:
-        expansions equal nodes (single-node pools), children admitted at
-        ``level - 1`` all come from expansions at ``level`` (the root is
-        at ``n_tx - 1``, never a child), and level-0 expansions send
-        their ``order`` children to leaf acceptance instead of the pool,
-        ``leaves`` of which survived. Totals match the per-expansion
-        accounting this replaces exactly.
-        """
-        lv = pool.level[: pool.size]
-        total = np.bincount(lv, minlength=n_tx)
-        unexpanded = np.zeros(n_tx, dtype=np.int64)
-        if pruned_rows:
-            pop_pruned = np.bincount(
-                lv[np.asarray(pruned_rows, dtype=np.int64)], minlength=n_tx
-            )
-            unexpanded += pop_pruned
-            pops = pop_pruned.tolist()
-        else:
-            pops = [0] * n_tx
-        if stack:
-            rows = np.fromiter(
-                (row for _pd, row in stack), dtype=np.int64, count=len(stack)
-            )
-            unexpanded += np.bincount(lv[rows], minlength=n_tx)
-        expanded = (total - unexpanded).tolist()
-        admitted = total.tolist()
-        nodes, exps, pruned = acc.nodes, acc.exps, acc.pruned
-        for level in range(n_tx):
-            e = expanded[level]
-            if e:
-                nodes[level] += e
-                exps[level] += e
-                survived = leaves if level == 0 else admitted[level - 1]
-                n_pruned = e * order - survived + pops[level]
-            else:
-                # Pop-prunes at a level can outlive its last expansion
-                # (the bound tightened after its nodes were admitted).
-                n_pruned = pops[level]
-            if n_pruned:
-                pruned[level] += n_pruned
 
 
 class BfsPolicy(TraversalPolicy):
@@ -580,7 +460,9 @@ class BfsPolicy(TraversalPolicy):
     with an empty frontier the radius escalates and the sweep restarts.
     Unlike the leaf-first policies, escalation continues even after a
     frontier truncation (the truncated sweep may simply have dropped the
-    sphere's occupants); it stops once the radius is no longer finite.
+    sphere's occupants); it stops once no root child PD is finite (they
+    overflowed, so no radius admits one) or the radius is no longer
+    finite.
 
     Parameters
     ----------
@@ -601,10 +483,12 @@ class BfsPolicy(TraversalPolicy):
         """One full root-to-leaves BFS sweep under a fixed radius.
 
         Yields one :class:`ExpandRequest` per level and receives the
-        child PDs. Returns ``(best_indices_by_level, best_metric)`` or
-        ``(None, inf)`` when the sphere is empty.
+        child PDs. Returns ``(best_indices_by_level, best_metric)``, or
+        ``(None, radius_sq)`` when the sphere is empty — ``(None, inf)``
+        when it emptied at the root with no finite child PD.
         """
         p = engine.constellation.order
+        level_pruned = stats.level_pruned
         # Frontier state: (F, depth) root-first index paths + (F,) PDs.
         paths = np.empty((1, 0), dtype=np.int64)
         pds = np.zeros(1, dtype=float)
@@ -619,19 +503,14 @@ class BfsPolicy(TraversalPolicy):
             if depth:
                 stats.gemm_flops += FLOPS_PER_CMAC * frontier * depth
             stats.gemm_flops += engine.metric.flops_per_norm * frontier * p
-            if engine.record_trace:
-                stats.batches.append(
-                    BatchEvent(level=level, pool_size=frontier)
-                )
+            stats.batches.append(BatchEvent(level=level, pool_size=frontier))
             keep_n, keep_c = np.nonzero(child_pds < radius_sq)
             stats.nodes_pruned += frontier * p - keep_n.size
-            acc = engine.level_acc
-            if acc is not None:
-                acc.nodes[level] += frontier
-                acc.exps[level] += 1
-                acc.pruned[level] += frontier * p - keep_n.size
+            level_pruned[level] += frontier * p - keep_n.size
             if keep_n.size == 0:
-                return None, float("inf")
+                if level == n_tx - 1 and not np.isfinite(child_pds).any():
+                    return None, inf
+                return None, radius_sq
             new_pds = child_pds[keep_n, keep_c]
             if self.max_frontier is not None and keep_n.size > self.max_frontier:
                 # K-best truncation: keep the lowest-PD survivors.
@@ -652,8 +531,8 @@ class BfsPolicy(TraversalPolicy):
 
     def solve_gen(self, engine, r, ybar, noise_var, stats, tracer):
         n_tx = int(r.shape[1])
-        if engine.level_acc is not None:
-            engine.level_acc.ensure(n_tx)
+        if not stats.level_pruned:
+            stats.level_pruned = [0] * n_tx
         init = engine.radius_policy.initial(
             r, ybar, engine.constellation, float(noise_var),
             metric=engine.metric,
@@ -661,10 +540,11 @@ class BfsPolicy(TraversalPolicy):
         radius_sq = float(init.radius_sq)
         stats.radius_trace.append(radius_sq)
         best, metric = yield from self._sweep(engine, n_tx, radius_sq, stats, tracer)
-        # A non-finite radius cannot grow; stop there (PDs overflowed).
+        # An empty sweep returns its radius, or inf when no root child PD
+        # was finite; a non-finite radius cannot grow, so stop there.
         while (
             best is None
-            and isfinite(radius_sq)
+            and isfinite(metric)
             and engine.radius_policy.can_escalate()
         ):
             radius_sq *= engine.radius_policy.escalation_factor
@@ -696,8 +576,9 @@ class _SweepPolicy(TraversalPolicy):
 
     def solve_gen(self, engine, r, ybar, noise_var, stats, tracer):
         n_tx = int(r.shape[1])
-        if engine.level_acc is not None:
-            engine.level_acc.ensure(n_tx)
+        if not stats.level_pruned:
+            stats.level_pruned = [0] * n_tx
+        level_pruned = stats.level_pruned
         p = engine.constellation.order
         paths = np.empty((1, 0), dtype=np.int64)
         pds = np.zeros(1, dtype=float)
@@ -711,15 +592,10 @@ class _SweepPolicy(TraversalPolicy):
             if depth:
                 stats.gemm_flops += FLOPS_PER_CMAC * width * depth
             stats.gemm_flops += engine.metric.flops_per_norm * width * p
-            if engine.record_trace:
-                stats.batches.append(BatchEvent(level=level, pool_size=width))
+            stats.batches.append(BatchEvent(level=level, pool_size=width))
             pruned_before = stats.nodes_pruned
             keep_n, keep_c, pds = self._select(level, n_tx, child_pds, stats)
-            acc = engine.level_acc
-            if acc is not None:
-                acc.nodes[level] += width
-                acc.exps[level] += 1
-                acc.pruned[level] += stats.nodes_pruned - pruned_before
+            level_pruned[level] += stats.nodes_pruned - pruned_before
             paths = extend_paths(paths, keep_n, keep_c)
             stats.max_list_size = max(stats.max_list_size, paths.shape[0])
         stats.leaves_reached += paths.shape[0]
@@ -870,15 +746,13 @@ class TraversalEngine:
         selects the ℓ₂ reference. Threaded to the evaluators, the flop
         accounting and the radius policy, so every traversal policy
         composes with every metric.
-    record_trace:
-        Keep the per-expansion :class:`BatchEvent` list in the stats.
 
-    When :attr:`level_acc` is set to a :class:`LevelAccumulator` (the
-    detector layer does this when a metrics registry is live), every
-    policy folds per-level traversal totals into it — nodes expanded,
-    expansion batches and nodes pruned per tree level. The detector
-    flushes it into labelled counters once per solve. ``None`` (the
-    default) costs one attribute read per expansion.
+    Every policy writes its counts into the frame's
+    :class:`~repro.core.stats.DecodeStats` and nowhere else: the scalar
+    totals, one :class:`BatchEvent` per expansion in ``batches`` and the
+    per-level prune counts in ``level_pruned``. The detector layer
+    derives tracer counters and metric series from that record once the
+    decode is done.
     """
 
     def __init__(
@@ -888,18 +762,14 @@ class TraversalEngine:
         *,
         radius_policy=None,
         metric=None,
-        record_trace: bool = True,
     ) -> None:
         self.constellation = constellation
         self.policy = policy
         self.radius_policy = radius_policy
         self.metric = resolve_metric(metric)
-        self.record_trace = record_trace
-        #: Optional per-level traversal accumulator (see class docstring).
-        self.level_acc: LevelAccumulator | None = None
-        #: Fused per-expansion telemetry closure, rebuilt per solve by
-        #: the pooled policies (``None`` when both the accumulator and
-        #: the ambient tracer are off — the common case).
+        #: ``sd.batch`` mark closure, rebuilt per solve by the pooled
+        #: policies (``None`` when the ambient tracer is off — the
+        #: common case).
         self.expand_hook = None
 
     def solve_gen(self, r, ybar, noise_var, stats, tracer):

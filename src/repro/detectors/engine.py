@@ -21,18 +21,16 @@ replays — including K-best and FSD, which previously had neither.
 
 from __future__ import annotations
 
+from collections import Counter
 from contextlib import ExitStack
+from itertools import chain
 
 import numpy as np
 
 from repro.core.gemm import ChannelKernel
 from repro.core.lattice import resolve_lattice
 from repro.core.metric import resolve_metric
-from repro.core.traversal import (
-    LevelAccumulator,
-    TraversalEngine,
-    TraversalPolicy,
-)
+from repro.core.traversal import TraversalEngine, TraversalPolicy
 from repro.detectors.base import DecodeStats, DetectionResult, Detector
 from repro.mimo.preprocessing import (
     QRResult,
@@ -51,6 +49,17 @@ from repro.util.validation import check_finite, check_matrix, check_vector
 #: seconds-scaled buckets.
 FRONTIER_BUCKETS = exponential_buckets(1.0, 2.0, 21)
 
+#: ``DecodeStats`` totals every detector publishes as ``<root>.<field>``
+#: tracer counters, on the per-frame and the batched path alike.
+COUNTED_FIELDS = (
+    "nodes_expanded",
+    "nodes_generated",
+    "nodes_pruned",
+    "leaves_reached",
+    "gemm_calls",
+    "gemm_flops",
+)
+
 
 class EngineDetector(Detector):
     """Shared two-phase shell for traversal-engine detectors.
@@ -68,11 +77,6 @@ class EngineDetector(Detector):
     #: wraps the inherited ``sd.*`` spans in ``geosphere.*`` ones so its
     #: time stays attributable in mixed-detector traces).
     wrapper_span: str | None = None
-    #: ``DecodeStats`` fields emitted as ``<root>.<field>`` counters
-    #: after each solve.
-    counter_fields: tuple[str, ...] = ()
-    #: Emit ``<root>.batch.frame_gemm_calls`` in ``decode_batch``.
-    batch_frame_gemm_counter = False
     #: Column ordering for the QR step: ``"natural"`` (plain QR) or
     #: ``"sqrd"`` (sorted QR). May be overridden per instance.
     ordering = "natural"
@@ -86,7 +90,6 @@ class EngineDetector(Detector):
 
     constellation = None
     radius_policy = None
-    record_trace = True
 
     @property
     def metric_obj(self):
@@ -136,7 +139,6 @@ class EngineDetector(Detector):
             self._policy(),
             radius_policy=self.radius_policy,
             metric=self.metric_obj,
-            record_trace=self.record_trace,
         )
 
     def _detect_span_args(self) -> dict:
@@ -183,6 +185,7 @@ class EngineDetector(Detector):
         check_finite(received, "received")
         tracer = current_tracer()
         timer = Timer()
+        stats = DecodeStats()
         with ExitStack() as spans:
             if self.wrapper_span is not None:
                 spans.enter_context(tracer.span(f"{self.wrapper_span}.detect"))
@@ -195,16 +198,12 @@ class EngineDetector(Detector):
                 ybar = effective_receive(
                     self._qr, self.lattice_rep.map_received(received)
                 )
-                incumbent, _bound, stats = self.solve(
-                    self._qr.r, ybar, self._noise_var
+                incumbent, _bound = self._engine().solve(
+                    self._qr.r, ybar, self._noise_var, stats, tracer,
+                    kernel=self._kernel,
                 )
         stats.wall_time_s = timer.elapsed
-        metrics = current_metrics()
-        if metrics.enabled:
-            metrics.counter("detector.frames").inc(1, detector=self.name)
-            metrics.histogram("detector.decode_seconds").observe(
-                timer.elapsed, detector=self.name
-            )
+        self._publish([stats], tracer, seconds=timer.elapsed)
         return self._fold_back(received, incumbent, stats)
 
     def solve(
@@ -225,29 +224,19 @@ class EngineDetector(Detector):
         """
         stats = DecodeStats()
         tracer = current_tracer()
-        metrics = current_metrics()
         # Reuse the prepare-time channel kernel only when the caller is
-        # decoding against the prepared factor itself (detect does);
-        # external callers may pass a different R (e.g. the quantised-R
-        # ablation), which gets its own validated kernel.
+        # decoding against the prepared factor itself; external callers
+        # may pass a different R (e.g. the quantised-R ablation), which
+        # gets its own validated kernel.
         kernel = (
             self._kernel
             if getattr(self, "_prepared", False) and r is self._qr.r
             else None
         )
-        engine = self._engine()
-        if metrics.enabled:
-            engine.level_acc = LevelAccumulator()
-        incumbent, bound = engine.solve(
+        incumbent, bound = self._engine().solve(
             r, ybar, noise_var, stats, tracer, kernel=kernel
         )
-        if tracer.enabled:
-            for name in self.counter_fields:
-                tracer.count(
-                    f"{self.trace_root}.{name}", getattr(stats, name)
-                )
-        if metrics.enabled:
-            self._flush_traversal_metrics(metrics, engine.level_acc, [stats])
+        self._publish([stats], tracer)
         return incumbent, bound, stats
 
     def decode_batch(self, received: np.ndarray) -> list[DetectionResult]:
@@ -261,7 +250,8 @@ class EngineDetector(Detector):
         frame's search runs its own unmodified schedule in lockstep
         (:func:`~repro.core.lockstep.drive_lockstep`), so the returned
         decisions, metrics and per-frame search statistics are
-        **bit-identical** to calling :meth:`detect` per row; only
+        **bit-identical** to calling :meth:`detect` per row, and so are
+        the published tracer counters and ``traversal.*`` series; only
         ``wall_time_s`` differs (the batch's wall time split evenly, as
         per-frame timing is not separable inside a fused GEMM).
         """
@@ -301,29 +291,11 @@ class EngineDetector(Detector):
                         for row in received
                     ]
                 )
-                engine = self._engine()
-                metrics = current_metrics()
-                if metrics.enabled:
-                    engine.level_acc = LevelAccumulator()
-                outcomes, backend = engine.solve_batch(
+                outcomes, _backend = self._engine().solve_batch(
                     self._qr.r, ybars, self._noise_var, stats_list,
                     kernel=self._kernel,
                 )
-        if metrics.enabled:
-            self._flush_traversal_metrics(
-                metrics, engine.level_acc, stats_list, batch_seconds=timer.elapsed
-            )
-        if tracer.enabled:
-            tracer.count(f"{self.trace_root}.batch.frames", n_frames)
-            tracer.count(
-                f"{self.trace_root}.batch.fused_gemm_calls",
-                backend.fused_gemm_calls,
-            )
-            if self.batch_frame_gemm_counter:
-                tracer.count(
-                    f"{self.trace_root}.batch.frame_gemm_calls",
-                    sum(st.gemm_calls for st in stats_list),
-                )
+        self._publish(stats_list, tracer, seconds=timer.elapsed)
         results: list[DetectionResult] = []
         per_frame_s = timer.elapsed / n_frames
         for f in range(n_frames):
@@ -335,47 +307,72 @@ class EngineDetector(Detector):
 
     # ------------------------------------------------------------------
 
-    def _flush_traversal_metrics(
-        self, metrics, acc, stats_list, *, batch_seconds: float | None = None
-    ) -> None:
-        """Fold one solve/batch's traversal accumulator into the registry.
+    def _publish(self, stats_list, tracer, *, seconds: float | None = None) -> None:
+        """Derive every counter and metric series of one decode call.
 
-        ``acc`` is the engine's :class:`LevelAccumulator` collected on
-        the hot path; here — once per solve, off the hot path — it
-        becomes per-level labelled counters, plus the frontier-peak
-        histogram and (for batches) per-frame decode seconds. Per-level
-        *generated* is ``nodes * order`` (every expansion emits one
-        child per constellation point); prune *rate* per level is
-        derived at read time as ``pruned / generated``.
+        The one publish step of :meth:`detect`, :meth:`solve` and
+        :meth:`decode_batch`: the search kept its counts only in each
+        frame's :class:`DecodeStats`, and this turns them — off the hot
+        path, once per call — into
+
+        * ``<root>.<field>`` tracer counters for :data:`COUNTED_FIELDS`;
+        * per-level ``traversal.nodes_expanded`` / ``.expansions`` /
+          ``.nodes_generated`` (folded from the ``batches`` trace,
+          ``generated = nodes * order``) and ``traversal.nodes_pruned``
+          (from ``level_pruned``) counters, plus one
+          ``traversal.frontier_peak`` observation per frame;
+        * with ``seconds`` (the call's decode time), ``detector.frames``
+          and one ``detector.decode_seconds`` observation of the mean
+          per-frame time.
+
+        A batch and the same frames decoded one by one publish the same
+        counters and ``traversal.*`` series.
         """
+        if tracer.enabled:
+            for name in COUNTED_FIELDS:
+                tracer.count(
+                    f"{self.trace_root}.{name}",
+                    sum(getattr(st, name) for st in stats_list),
+                )
+        metrics = current_metrics()
+        if not metrics.enabled:
+            return
         det = self.name
-        if acc is not None:
-            nodes = metrics.counter("traversal.nodes_expanded")
-            expansions = metrics.counter("traversal.expansions")
-            generated = metrics.counter("traversal.nodes_generated")
-            pruned = metrics.counter("traversal.nodes_pruned")
-            order = self.search_constellation.order
-            for level, n_exp in enumerate(acc.exps):
-                n_pruned = acc.pruned[level]
-                if not n_exp and not n_pruned:
-                    continue
-                lvl = str(level)
-                n_nodes = acc.nodes[level]
-                nodes.inc(n_nodes, detector=det, level=lvl)
-                expansions.inc(n_exp, detector=det, level=lvl)
-                generated.inc(n_nodes * order, detector=det, level=lvl)
-                if n_pruned:
-                    pruned.inc(n_pruned, detector=det, level=lvl)
+        # One decode call searches one tree shape: every frame's
+        # per-level list has the same length.
+        level_pruned = list(map(sum, zip(*[st.level_pruned for st in stats_list])))
+        level_nodes = [0] * len(level_pruned)
+        level_exps = [0] * len(level_pruned)
+        events = Counter(chain.from_iterable([st.batches for st in stats_list]))
+        for (level, pool_size), times in events.items():
+            level_nodes[level] += pool_size * times
+            level_exps[level] += times
+        nodes = metrics.counter("traversal.nodes_expanded")
+        expansions = metrics.counter("traversal.expansions")
+        generated = metrics.counter("traversal.nodes_generated")
+        pruned = metrics.counter("traversal.nodes_pruned")
+        order = self.search_constellation.order
+        for level, n_exp in enumerate(level_exps):
+            n_pruned = level_pruned[level]
+            if not n_exp and not n_pruned:
+                continue
+            lvl = str(level)
+            n_nodes = level_nodes[level]
+            nodes.inc(n_nodes, detector=det, level=lvl)
+            expansions.inc(n_exp, detector=det, level=lvl)
+            generated.inc(n_nodes * order, detector=det, level=lvl)
+            if n_pruned:
+                pruned.inc(n_pruned, detector=det, level=lvl)
         frontier = metrics.histogram(
             "traversal.frontier_peak", edges=FRONTIER_BUCKETS
         )
         for stats in stats_list:
             frontier.observe(stats.max_list_size, detector=det)
-        if batch_seconds is not None:
+        if seconds is not None:
             n = len(stats_list)
             metrics.counter("detector.frames").inc(n, detector=det)
             metrics.histogram("detector.decode_seconds").observe(
-                batch_seconds / max(n, 1), detector=det
+                seconds / n, detector=det
             )
 
     def _fold_back(

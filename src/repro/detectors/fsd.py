@@ -35,18 +35,10 @@ class FixedComplexityDecoder(EngineDetector):
     rho:
         Number of fully-enumerated levels (``P^rho`` candidate paths).
         The classic choice for square systems is small (1 or 2).
-    record_trace:
-        Keep per-level :class:`BatchEvent` records.
     """
 
     name = "fsd"
     trace_root = "fsd"
-    counter_fields = (
-        "nodes_expanded",
-        "nodes_pruned",
-        "leaves_reached",
-        "gemm_calls",
-    )
     # FSD conventionally uses an ordering that puts the *least*
     # reliable streams in the fully-enumerated levels; SQRD places the
     # weakest stream at the deepest (last-detected) level, and its
@@ -60,11 +52,9 @@ class FixedComplexityDecoder(EngineDetector):
         constellation: Constellation,
         *,
         rho: int = 1,
-        record_trace: bool = True,
     ) -> None:
         self.constellation = constellation
         self.rho = check_positive_int(rho, "rho")
-        self.record_trace = record_trace
         self._qr = None
         self._channel = None
         self._noise_var = 0.0

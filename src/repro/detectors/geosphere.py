@@ -38,7 +38,6 @@ class GeosphereDecoder(SphereDecoder):
         *,
         radius_policy: RadiusPolicy | None = None,
         max_nodes: int | None = None,
-        record_trace: bool = True,
     ) -> None:
         super().__init__(
             constellation,
@@ -48,5 +47,4 @@ class GeosphereDecoder(SphereDecoder):
             pool_size=1,
             child_ordering="sorted",
             max_nodes=max_nodes,
-            record_trace=record_trace,
         )

@@ -37,12 +37,6 @@ class KBestDecoder(EngineDetector):
 
     name = "kbest"
     trace_root = "kbest"
-    counter_fields = (
-        "nodes_expanded",
-        "nodes_pruned",
-        "leaves_reached",
-        "gemm_calls",
-    )
     # SQRD ordering: detecting reliable streams first makes the
     # K-survivor truncation far less likely to drop the ML path.
     ordering = "sqrd"
@@ -53,12 +47,10 @@ class KBestDecoder(EngineDetector):
         *,
         k: int = 16,
         metric: str = "l2",
-        record_trace: bool = True,
     ) -> None:
         self.constellation = constellation
         self.k = check_positive_int(k, "k")
         self.metric = metric
-        self.record_trace = record_trace
         self._resolve_axes()
         self._qr = None
         self._channel = None

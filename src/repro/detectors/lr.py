@@ -85,8 +85,12 @@ class LRZFDetector(Detector):
         offset = scale * (side - 1) * (self._h_real @ np.ones(2 * n_tx))
         y_prime = y_real + offset
         v = np.rint(self._reduced_pinv @ y_prime)
-        u = self._transform @ v.astype(np.int64)
-        u = np.clip(u, 0, side - 1)
+        # Back-transform and clip in float: lattice coordinates of a huge
+        # (still finite) input exceed int64, and casting first would wrap.
+        u = self._transform @ v
+        if np.isnan(u).any():
+            raise ValueError("received overflows the reduced lattice coordinates")
+        u = np.clip(u, 0, side - 1).astype(np.int64)
         # Reassemble complex symbols: u[:n_tx] are I levels, u[n_tx:] Q.
         i_lvl, q_lvl = u[:n_tx], u[n_tx:]
         indices = (i_lvl * side + q_lvl).astype(np.int64)

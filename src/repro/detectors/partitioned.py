@@ -79,7 +79,6 @@ class PartitionedSphereDecoder(Detector):
         n_pes: int = 4,
         radius_policy: RadiusPolicy | None = None,
         max_rounds: int | None = None,
-        record_trace: bool = True,
     ) -> None:
         self.constellation = constellation
         self.n_pes = check_positive_int(n_pes, "n_pes")
@@ -87,7 +86,6 @@ class PartitionedSphereDecoder(Detector):
         self.max_rounds = (
             None if max_rounds is None else check_positive_int(max_rounds, "max_rounds")
         )
-        self.record_trace = record_trace
         self._qr: QRResult | None = None
         self._channel: np.ndarray | None = None
         self._noise_var = 0.0
@@ -123,6 +121,7 @@ class PartitionedSphereDecoder(Detector):
         reached.
         """
         n_tx = evaluator.n_tx
+        level_pruned = stats.level_pruned
         incumbent: np.ndarray | None = None
         frontier: list[SearchNode] = []
         seq = 1
@@ -137,16 +136,14 @@ class PartitionedSphereDecoder(Detector):
             child_pds = evaluator.expand(level, paths, pds)
             stats.nodes_expanded += len(pools)
             stats.nodes_generated += len(pools) * evaluator.order
-            if self.record_trace:
-                stats.batches.append(
-                    BatchEvent(level=level, pool_size=len(pools))
-                )
+            stats.batches.append(BatchEvent(level=level, pool_size=len(pools)))
             frontier = []
             for i, (path, _pd) in enumerate(pools):
                 for c in range(evaluator.order):
                     pd = float(child_pds[i, c])
                     if pd >= bound:
                         stats.nodes_pruned += 1
+                        level_pruned[level] += 1
                         continue
                     if level == 0:
                         stats.leaves_reached += 1
@@ -186,7 +183,7 @@ class PartitionedSphereDecoder(Detector):
         )
         check_finite(received, "received")
         timer = Timer()
-        stats = DecodeStats()
+        stats = DecodeStats(level_pruned=[0] * self._channel.shape[1])
         with timer:
             ybar = effective_receive(self._qr, received)
             evaluator = GemmEvaluator(self._qr.r, ybar, self.constellation)
@@ -219,6 +216,7 @@ class PartitionedSphereDecoder(Detector):
                     node = stack.pop()
                     if node.pd >= bound:
                         stats.nodes_pruned += 1
+                        stats.level_pruned[node.level] += 1
                         continue
                     child_pds = evaluator.expand(
                         node.level,
@@ -228,16 +226,13 @@ class PartitionedSphereDecoder(Detector):
                     pe_expansions[pe] += 1
                     stats.nodes_expanded += 1
                     stats.nodes_generated += evaluator.order
-                    if self.record_trace:
-                        stats.batches.append(
-                            BatchEvent(level=node.level, pool_size=1)
-                        )
+                    stats.batches.append(BatchEvent(level=node.level, pool_size=1))
                     if node.level == 0:
                         in_sphere = child_pds < bound
                         stats.leaves_reached += int(np.count_nonzero(in_sphere))
-                        stats.nodes_pruned += int(
-                            in_sphere.size - np.count_nonzero(in_sphere)
-                        )
+                        n_out = int(in_sphere.size - np.count_nonzero(in_sphere))
+                        stats.nodes_pruned += n_out
+                        stats.level_pruned[0] += n_out
                         c = int(np.argmin(child_pds))
                         if child_pds[c] < bound:
                             bound = float(child_pds[c])
@@ -252,6 +247,7 @@ class PartitionedSphereDecoder(Detector):
                         for c in order[::-1]:
                             if child_pds[c] >= bound:
                                 stats.nodes_pruned += 1
+                                stats.level_pruned[node.level] += 1
                                 continue
                             stack.append(
                                 SearchNode(

@@ -51,7 +51,6 @@ class RealSphereDecoder(SphereDecoder):
         radius_policy: RadiusPolicy | None = None,
         max_nodes: int | None = None,
         lattice: str = "real",
-        record_trace: bool = True,
     ) -> None:
         super().__init__(
             constellation,
@@ -59,7 +58,6 @@ class RealSphereDecoder(SphereDecoder):
             radius_policy=radius_policy or NoiseScaledRadius(alpha=2.0),
             max_nodes=max_nodes,
             lattice=lattice,
-            record_trace=record_trace,
         )
         #: The per-dimension PAM search alphabet (back-compat alias).
         self.pam = self.search_constellation

@@ -165,73 +165,64 @@ def spec(kind: str, constellation: Constellation, **params: Any) -> DetectorSpec
 # ----------------------------------------------------------------------
 
 
-def _make_sd(constellation, *, alpha, max_nodes, child_ordering, record_trace):
+def _make_sd(constellation, *, alpha, max_nodes, child_ordering):
     return SphereDecoder(
         constellation,
         strategy="dfs",
         radius_policy=NoiseScaledRadius(alpha=alpha),
         child_ordering=child_ordering,
         max_nodes=max_nodes,
-        record_trace=record_trace,
     )
 
 
-def _make_sd_bestfs(constellation, *, pool_size, max_nodes, record_trace):
+def _make_sd_bestfs(constellation, *, pool_size, max_nodes):
     return SphereDecoder(
         constellation,
         strategy="best-first",
         pool_size=pool_size,
         max_nodes=max_nodes,
-        record_trace=record_trace,
     )
 
 
-def _make_sd_dfs(constellation, *, child_ordering, max_nodes, record_trace):
+def _make_sd_dfs(constellation, *, child_ordering, max_nodes):
     return SphereDecoder(
         constellation,
         strategy="dfs",
         child_ordering=child_ordering,
         max_nodes=max_nodes,
-        record_trace=record_trace,
     )
 
 
-def _make_bfs(constellation, *, alpha, max_frontier, record_trace):
+def _make_bfs(constellation, *, alpha, max_frontier):
     return GemmBfsDecoder(
         constellation,
         radius_policy=NoiseScaledRadius(alpha=alpha),
         max_frontier=max_frontier,
-        record_trace=record_trace,
     )
 
 
-def _make_geosphere(constellation, *, max_nodes, record_trace):
-    return GeosphereDecoder(
-        constellation, max_nodes=max_nodes, record_trace=record_trace
-    )
+def _make_geosphere(constellation, *, max_nodes):
+    return GeosphereDecoder(constellation, max_nodes=max_nodes)
 
 
-def _make_kbest(constellation, *, k, record_trace):
-    return KBestDecoder(constellation, k=k, record_trace=record_trace)
+def _make_kbest(constellation, *, k):
+    return KBestDecoder(constellation, k=k)
 
 
-def _make_fsd(constellation, *, rho, record_trace):
-    return FixedComplexityDecoder(
-        constellation, rho=rho, record_trace=record_trace
-    )
+def _make_fsd(constellation, *, rho):
+    return FixedComplexityDecoder(constellation, rho=rho)
 
 
-def _make_real_sd(constellation, *, alpha, max_nodes, record_trace):
+def _make_real_sd(constellation, *, alpha, max_nodes):
     return RealSphereDecoder(
         constellation,
         strategy="dfs",
         radius_policy=NoiseScaledRadius(alpha=alpha),
         max_nodes=max_nodes,
-        record_trace=record_trace,
     )
 
 
-def _make_sd_linf(constellation, *, alpha, max_nodes, child_ordering, record_trace):
+def _make_sd_linf(constellation, *, alpha, max_nodes, child_ordering):
     # Same traversal shape as the canonical ``sd`` kind; only the
     # partial-distance metric differs (under linf the noise-scaled
     # radius degenerates to the metric-consistent Babai seed).
@@ -242,35 +233,30 @@ def _make_sd_linf(constellation, *, alpha, max_nodes, child_ordering, record_tra
         child_ordering=child_ordering,
         max_nodes=max_nodes,
         metric="linf",
-        record_trace=record_trace,
     )
 
 
-def _make_kbest_linf(constellation, *, k, record_trace):
-    return KBestDecoder(
-        constellation, k=k, metric="linf", record_trace=record_trace
-    )
+def _make_kbest_linf(constellation, *, k):
+    return KBestDecoder(constellation, k=k, metric="linf")
 
 
-def _make_real_sd_reordered(constellation, *, alpha, max_nodes, record_trace):
+def _make_real_sd_reordered(constellation, *, alpha, max_nodes):
     return RealSphereDecoder(
         constellation,
         strategy="dfs",
         radius_policy=NoiseScaledRadius(alpha=alpha),
         max_nodes=max_nodes,
         lattice="real-reordered",
-        record_trace=record_trace,
     )
 
 
-def _make_partitioned(constellation, *, n_pes, alpha, max_rounds, record_trace):
+def _make_partitioned(constellation, *, n_pes, alpha, max_rounds):
     radius_policy = BabaiRadius() if alpha is None else NoiseScaledRadius(alpha=alpha)
     return PartitionedSphereDecoder(
         constellation,
         n_pes=n_pes,
         radius_policy=radius_policy,
         max_rounds=max_rounds,
-        record_trace=record_trace,
     )
 
 
@@ -314,7 +300,6 @@ _register(DetectorEntry(
         "alpha": 2.0,
         "max_nodes": DEFAULT_MAX_NODES,
         "child_ordering": "sorted",
-        "record_trace": True,
     },
     exact=True,
     batch=True,
@@ -330,7 +315,7 @@ _register(DetectorEntry(
     kind="sd-bestfs",
     summary="Best-FS SD: global PD priority queue, Babai seed, GEMM pooling",
     factory=_make_sd_bestfs,
-    defaults={"pool_size": 8, "max_nodes": None, "record_trace": True},
+    defaults={"pool_size": 8, "max_nodes": None},
     exact=True,
     batch=True,
     fpga_replayable=True,
@@ -344,7 +329,6 @@ _register(DetectorEntry(
     defaults={
         "child_ordering": "sorted",
         "max_nodes": None,
-        "record_trace": True,
     },
     exact=True,
     batch=True,
@@ -356,7 +340,7 @@ _register(DetectorEntry(
     kind="bfs",
     summary="level-synchronous GEMM-BFS (the GPU baseline of [1])",
     factory=_make_bfs,
-    defaults={"alpha": 4.0, "max_frontier": 2**19, "record_trace": True},
+    defaults={"alpha": 4.0, "max_frontier": 2**19},
     exact=True,
     batch=True,
     fpga_replayable=True,
@@ -367,7 +351,7 @@ _register(DetectorEntry(
     kind="geosphere",
     summary="Geosphere-style scalar DFS (exact, non-batched WARP baseline)",
     factory=_make_geosphere,
-    defaults={"max_nodes": None, "record_trace": True},
+    defaults={"max_nodes": None},
     exact=True,
     batch=True,
     fpga_replayable=True,
@@ -378,7 +362,7 @@ _register(DetectorEntry(
     kind="kbest",
     summary="K-best: fixed-throughput breadth-first, K survivors per level",
     factory=_make_kbest,
-    defaults={"k": 16, "record_trace": True},
+    defaults={"k": 16},
     exact=False,
     batch=True,
     fpga_replayable=True,
@@ -388,7 +372,7 @@ _register(DetectorEntry(
     kind="fsd",
     summary="fixed-complexity SD: full enumeration on rho levels, SIC below",
     factory=_make_fsd,
-    defaults={"rho": 1, "record_trace": True},
+    defaults={"rho": 1},
     exact=False,
     batch=True,
     fpga_replayable=True,
@@ -398,7 +382,7 @@ _register(DetectorEntry(
     kind="sphere-real",
     summary="exact SD over the 2M-level real-decomposition lattice",
     factory=_make_real_sd,
-    defaults={"alpha": 2.0, "max_nodes": None, "record_trace": True},
+    defaults={"alpha": 2.0, "max_nodes": None},
     exact=True,
     batch=False,
     fpga_replayable=True,
@@ -414,7 +398,6 @@ _register(DetectorEntry(
         "alpha": 2.0,
         "max_nodes": DEFAULT_MAX_NODES,
         "child_ordering": "sorted",
-        "record_trace": True,
     },
     exact=False,
     batch=True,
@@ -427,7 +410,7 @@ _register(DetectorEntry(
     kind="kbest-linf",
     summary="K-best with linf partial distances (compare-tree NORM)",
     factory=_make_kbest_linf,
-    defaults={"k": 16, "record_trace": True},
+    defaults={"k": 16},
     exact=False,
     batch=True,
     fpga_replayable=True,
@@ -438,7 +421,7 @@ _register(DetectorEntry(
     kind="sd-real-reordered",
     summary="exact SD on the reordered (interleaved) real lattice",
     factory=_make_real_sd_reordered,
-    defaults={"alpha": 2.0, "max_nodes": None, "record_trace": True},
+    defaults={"alpha": 2.0, "max_nodes": None},
     exact=True,
     batch=True,
     fpga_replayable=True,
@@ -454,7 +437,6 @@ _register(DetectorEntry(
         "n_pes": 4,
         "alpha": None,
         "max_rounds": None,
-        "record_trace": True,
     },
     exact=True,
     batch=False,

@@ -43,18 +43,10 @@ class GemmBfsDecoder(EngineDetector):
         Optional cap on the surviving frontier per level (K-best style
         truncation). ``None`` keeps every in-sphere node, as in [1] —
         exact *within the sphere* but memory-hungry for 16-QAM.
-    record_trace:
-        Keep per-level :class:`BatchEvent` records.
     """
 
     name = "sphere-gemm-bfs"
     trace_root = "bfs"
-    counter_fields = (
-        "nodes_expanded",
-        "nodes_pruned",
-        "leaves_reached",
-        "gemm_calls",
-    )
 
     def __init__(
         self,
@@ -62,7 +54,6 @@ class GemmBfsDecoder(EngineDetector):
         *,
         radius_policy: RadiusPolicy | None = None,
         max_frontier: int | None = None,
-        record_trace: bool = True,
     ) -> None:
         self.constellation = constellation
         self.radius_policy = radius_policy or NoiseScaledRadius(alpha=2.0)
@@ -71,7 +62,6 @@ class GemmBfsDecoder(EngineDetector):
             if max_frontier is None
             else check_positive_int(max_frontier, "max_frontier")
         )
-        self.record_trace = record_trace
         self._qr = None
         self._channel = None
         self._noise_var = 0.0

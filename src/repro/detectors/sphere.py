@@ -97,21 +97,10 @@ class SphereDecoder(EngineDetector):
         Lattice representation: ``"complex"`` (default), ``"real"``
         (stacked real decomposition) or ``"real-reordered"`` (Azzam &
         Ayanoglu interleaving). Real lattices need square QAM.
-    record_trace:
-        Keep the per-expansion :class:`BatchEvent` list in the stats.
     """
 
     name = "sphere-gemm"
     trace_root = "sd"
-    counter_fields = (
-        "nodes_expanded",
-        "nodes_generated",
-        "nodes_pruned",
-        "leaves_reached",
-        "gemm_calls",
-        "gemm_flops",
-    )
-    batch_frame_gemm_counter = True
 
     def __init__(
         self,
@@ -125,7 +114,6 @@ class SphereDecoder(EngineDetector):
         max_nodes: int | None = None,
         metric: str = "l2",
         lattice: str = "complex",
-        record_trace: bool = True,
     ) -> None:
         self.constellation = constellation
         self.strategy = check_in(strategy, "strategy", STRATEGIES)
@@ -140,7 +128,6 @@ class SphereDecoder(EngineDetector):
         )
         self.metric = metric
         self.lattice = lattice
-        self.record_trace = record_trace
         self._resolve_axes()
         self._qr = None
         self._channel = None

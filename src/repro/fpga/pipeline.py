@@ -431,14 +431,16 @@ class FPGAPipeline:
     def decode_report(self, stats: DecodeStats) -> PipelineReport:
         """Total decode time for one decode's statistics record.
 
-        Requires the per-expansion batch trace (``record_trace=True`` on
-        the decoder). The trace is replayed grouped: every distinct
+        Requires the per-expansion batch trace every tree-search decoder
+        records (a Monte Carlo engine keeps it only with ``keep_traces``).
+        The trace is replayed grouped: every distinct
         :class:`BatchEvent` is costed once and multiplied by how often it
         occurs, which sums to exactly the per-event totals.
         """
         if not stats.batches:
             raise ValueError(
-                "stats has no batch trace; run the decoder with record_trace=True"
+                "stats has no batch trace; decode with a tree-search "
+                "detector (Monte Carlo: keep_traces=True)"
             )
         tracer = current_tracer()
         with tracer.span(

@@ -68,10 +68,7 @@ class SnrPoint:
 
     def aggregate_stats(self) -> DecodeStats:
         """Sum of all per-frame search statistics at this point."""
-        total = DecodeStats()
-        for st in self.frame_stats:
-            total = total.merge(st)
-        return total
+        return DecodeStats.merge_all(self.frame_stats)
 
     def mean_nodes_expanded(self) -> float:
         """Average tree nodes expanded per frame (NaN for linear detectors)."""

@@ -260,7 +260,7 @@ class RunRecorder:
         kwargs = {} if interval_s is None else {"interval_s": interval_s}
         return MetricsStreamWriter(self.path / STREAM_FILE, **kwargs)
 
-    def record_trace(self, tracer: Tracer) -> None:
+    def record_chrome_trace(self, tracer: Tracer) -> None:
         """Record the full Chrome trace document as ``trace.json``."""
         if not self.enabled:
             return

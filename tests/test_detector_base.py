@@ -64,25 +64,33 @@ class TestDecodeStats:
         field without aggregation support fails here, not in a report.
         """
 
-        def sample(offset: int) -> DecodeStats:
+        def sample(offset: int, width: int) -> DecodeStats:
             kwargs = {}
             for i, f in enumerate(fields(DecodeStats)):
                 if f.name == "batches":
                     kwargs[f.name] = [BatchEvent(offset, i + 1)]
                 elif f.name == "radius_trace":
                     kwargs[f.name] = [float(offset + i)]
+                elif f.metadata.get("merge") == "elementwise":
+                    kwargs[f.name] = [offset + i + k for k in range(width)]
                 elif f.type == "float" or f.name == "wall_time_s":
                     kwargs[f.name] = float(offset + i + 0.5)
                 else:
                     kwargs[f.name] = offset + i + 1
             return DecodeStats(**kwargs)
 
-        a, b = sample(10), sample(100)
+        # Per-level lists of different lengths: the shorter one is padded.
+        a, b = sample(10, 3), sample(100, 4)
         m = a.merge(b)
         for f in fields(DecodeStats):
             mine, theirs = getattr(a, f.name), getattr(b, f.name)
             rule = f.metadata.get("merge", "sum")
-            expected = max(mine, theirs) if rule == "max" else mine + theirs
+            if rule == "max":
+                expected = max(mine, theirs)
+            elif rule == "elementwise":
+                expected = [x + y for x, y in zip(mine + [0], theirs)]
+            else:
+                expected = mine + theirs
             assert getattr(m, f.name) == expected, f.name
 
     def test_merge_picks_up_subclass_fields(self):

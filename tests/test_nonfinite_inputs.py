@@ -11,6 +11,7 @@ this suite pins that every kind calls it on both inputs.
 from __future__ import annotations
 
 import signal
+import warnings
 from contextlib import contextmanager
 
 import numpy as np
@@ -75,9 +76,11 @@ def test_nonfinite_input_raises_value_error(kind, bad, where):
 def test_overflowing_finite_input_is_bounded(kind):
     """Finite inputs whose partial distances overflow to inf stay total.
 
-    At ``received * 1e200`` every PD is inf, so an escalating radius
-    reaches inf and ``inf < inf`` never admits a child; the decode must
-    still return a decision (or raise ``ValueError``) in bounded time.
+    At ``received * 1e200`` every PD is inf and ``inf < inf`` never
+    admits a child, so no radius can fill the sphere; the decode must
+    still return a decision (or raise ``ValueError``) in bounded time,
+    and a radius-driven search must not escalate once its first search
+    saw no finite PD (each escalation is a wasted root expansion).
     """
     const, channel, received = _system()
     detector = spec(kind, const)()
@@ -89,3 +92,16 @@ def test_overflowing_finite_input_is_bounded(kind):
         except ValueError:
             return
     assert np.asarray(result.indices).shape == (channel.shape[1],)
+    if result.stats is not None:
+        assert len(result.stats.radius_trace) <= 2
+
+
+def test_lr_zf_overflowing_input_does_not_wrap():
+    """LR-ZF maps huge lattice coordinates without an int64 cast wrap."""
+    const, channel, received = _system()
+    detector = spec("lr-zf", const)()
+    detector.prepare(channel, noise_var=0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = detector.detect(received * 1e200)
+    assert np.all((result.indices >= 0) & (result.indices < const.order))

@@ -13,6 +13,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.detectors.registry import detector_entries, spec
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
     NULL_METRICS,
@@ -236,13 +237,63 @@ class TestPrometheusExport:
         assert "repro_lat_count 3" in text
 
 
+BATCH_KINDS = [e.kind for e in detector_entries() if e.batch]
+TREE_KINDS = [e.kind for e in detector_entries() if e.fpga_replayable]
+
+
+def _decode_block(kind: str, path: str):
+    """Decode one 6x6 4-QAM channel block of 4 frames with ``kind``.
+
+    Runs under a fresh tracer and metrics registry, frame by frame
+    (``path="detect"``) or fused (``"decode_batch"``); returns
+    ``(trace_root, stats_list, tracer, snapshot)``.
+    """
+    import numpy as np
+
+    from repro.mimo.system import MIMOSystem
+    from repro.obs.tracer import Tracer, use_tracer
+
+    system = MIMOSystem(6, 6, "4qam")
+    rng = np.random.default_rng(7)
+    first = system.random_frame(6.0, rng)
+    received = np.stack(
+        [first.received]
+        + [
+            system.random_frame(6.0, rng, channel=first.channel).received
+            for _ in range(3)
+        ]
+    )
+    detector = spec(kind, system.constellation)()
+    detector.prepare(first.channel, noise_var=first.noise_var)
+    metrics = MetricsRegistry()
+    with use_tracer(Tracer()) as tracer, use_metrics(metrics):
+        if path == "detect":
+            results = [detector.detect(row) for row in received]
+        else:
+            results = detector.decode_batch(received)
+    stats = [r.stats for r in results]
+    return detector.trace_root, stats, tracer, metrics.snapshot()
+
+
+def _traversal_series(snap) -> dict:
+    """Every ``traversal.*`` counter and histogram series of ``snap``."""
+    return {
+        key: value
+        for table in (snap.counters, snap.histograms)
+        for key, value in table.items()
+        if key[0].startswith("traversal.")
+    }
+
+
 class TestTraversalAccountingConsistency:
     """Registry traversal totals must equal DecodeStats exactly.
 
-    DFS reconstructs its per-level accumulator post-hoc from the node
-    pool (``DfsPolicy._fold_levels``); best-first accounts inline per
-    pooled expansion. Both paths must reproduce the search's own exact
-    counters — the trace timeline is sampled, the metrics are not.
+    The search keeps its counts only in ``DecodeStats`` (scalars, the
+    ``batches`` trace and ``level_pruned``); the detector's one publish
+    step derives the tracer counters and ``traversal.*`` series from
+    it. Both must reproduce the search's own exact counters on the
+    per-frame and the batched path — the trace timeline is sampled, the
+    metrics are not.
     """
 
     @pytest.mark.parametrize("strategy", ["dfs", "best-first"])
@@ -270,3 +321,51 @@ class TestTraversalAccountingConsistency:
         snap = m.snapshot()
         for name, want in totals.items():
             assert snap.counter_total(f"traversal.{name}") == want, name
+
+    @pytest.mark.parametrize("path", ["detect", "decode_batch"])
+    @pytest.mark.parametrize("kind", BATCH_KINDS)
+    def test_every_batch_kind_matches_decode_stats(self, kind, path):
+        from repro.detectors.engine import COUNTED_FIELDS
+
+        root, stats, tracer, snap = _decode_block(kind, path)
+        for name in COUNTED_FIELDS:
+            want = sum(getattr(st, name) for st in stats)
+            assert tracer.counters[f"{root}.{name}"] == want, name
+        for name in ("nodes_expanded", "nodes_generated", "nodes_pruned"):
+            want = sum(getattr(st, name) for st in stats)
+            assert snap.counter_total(f"traversal.{name}") == want, name
+        expansions = sum(len(st.batches) for st in stats)
+        assert snap.counter_total("traversal.expansions") == expansions
+        if kind != "fsd":  # FSD's SIC levels keep one child, pruning none
+            assert sum(st.nodes_pruned for st in stats) > 0
+
+    @pytest.mark.parametrize("kind", BATCH_KINDS)
+    def test_detect_and_decode_batch_publish_identically(self, kind):
+        _, _, per_frame, frames_snap = _decode_block(kind, "detect")
+        _, _, batched, batch_snap = _decode_block(kind, "decode_batch")
+        assert per_frame.counters == batched.counters
+        assert _traversal_series(frames_snap) == _traversal_series(batch_snap)
+
+    @pytest.mark.parametrize("kind", BATCH_KINDS)
+    def test_traversal_rates_after_decode_batch(self, kind):
+        from repro.obs.metrics import traversal_rates
+
+        root, _, tracer, _ = _decode_block(kind, "decode_batch")
+        assert f"{root}.nodes_per_sec" in traversal_rates(tracer)
+
+    @pytest.mark.parametrize("kind", TREE_KINDS)
+    def test_level_pruned_sums_to_nodes_pruned(self, kind):
+        import numpy as np
+
+        from repro.mimo.system import MIMOSystem
+
+        system = MIMOSystem(6, 6, "4qam")
+        rng = np.random.default_rng(7)
+        detector = spec(kind, system.constellation)()
+        for _ in range(3):
+            frame = system.random_frame(6.0, rng)
+            detector.prepare(frame.channel, noise_var=frame.noise_var)
+            stats = detector.detect(frame.received).stats
+            assert sum(stats.level_pruned) == stats.nodes_pruned
+            levels = {event.level for event in stats.batches}
+            assert len(stats.level_pruned) > max(levels)

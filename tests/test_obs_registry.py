@@ -52,7 +52,7 @@ class TestRecorder:
         recorder.record_series(FakeSeries())
         recorder.record_sweep(tiny_sweep())
         recorder.record_metrics(tracer)
-        recorder.record_trace(tracer)
+        recorder.record_chrome_trace(tracer)
         path = recorder.finalize()
         assert path is not None and path.is_dir()
         for name in (MANIFEST_FILE, SERIES_FILE, SWEEP_FILE, METRICS_FILE, TRACE_FILE):
@@ -80,7 +80,7 @@ class TestRecorder:
         recorder.record_series(FakeSeries())
         recorder.record_sweep(tiny_sweep())
         recorder.record_metrics(Tracer())
-        recorder.record_trace(Tracer())
+        recorder.record_chrome_trace(Tracer())
         assert recorder.finalize() is None
         assert list(tmp_path.iterdir()) == []  # nothing created anywhere
 

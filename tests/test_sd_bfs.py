@@ -135,9 +135,3 @@ class TestContract:
     def test_invalid_max_frontier(self):
         with pytest.raises(ValueError):
             GemmBfsDecoder(MIMOSystem(4, 4).constellation, max_frontier=0)
-
-    def test_record_trace_off(self):
-        system = MIMOSystem(4, 4, "4qam")
-        decoder = GemmBfsDecoder(system.constellation, record_trace=False)
-        _, bfs, _ = run_pair(system, decoder, 10.0, 0)
-        assert bfs.stats.batches == []

@@ -119,13 +119,6 @@ class TestTruncationAndTraces:
         # Even truncated, a decision must come back.
         assert result.indices.shape == (8,)
 
-    def test_record_trace_off(self):
-        system = MIMOSystem(5, 5, "4qam")
-        decoder = SphereDecoder(system.constellation, record_trace=False)
-        _, result = decode_one(decoder, system)
-        assert result.stats.batches == []
-        assert result.stats.nodes_expanded > 0  # counters still kept
-
     def test_pool_batches_bounded_by_pool_size(self):
         system = MIMOSystem(6, 6, "4qam")
         decoder = SphereDecoder(system.constellation, pool_size=4)

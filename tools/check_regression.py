@@ -434,7 +434,7 @@ def main(argv=None) -> int:
     print(series.format())
     recorder.record_series(series)
     recorder.record_metrics(tracer, metrics)
-    recorder.record_trace(tracer)
+    recorder.record_chrome_trace(tracer)
     recorder.record_profile(tracer)
     run_path = recorder.finalize()
 
